@@ -325,18 +325,8 @@ def cmd_complete(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .obs import attribution as obs_attr
-    from .obs import events as obs_events
-    from .obs import health as obs_health
-    from .obs import memory as obs_memory
-    from .obs import profiler as obs_profiler
-    from .obs import runctx as obs_runctx
-    from .obs import trace as obs_trace
-    from .obs.buildinfo import build_info
-    from .obs.export import (kind_table, tree_summary, write_chrome_trace,
-                             write_jsonl)
-    from .obs.metrics import registry
-    from .perf import counters as perf_counters
+    from .obs.artifacts import write_trace_dir
+    from .obs.seam import session
 
     verb = getattr(args, "verb", "trace")
     rest = list(args.rest)
@@ -352,142 +342,14 @@ def cmd_trace(args) -> int:
         raise ValueError(f"{verb}: cannot {verb} the {rest[0]!r} command")
     inner = build_parser().parse_args(rest)
     os.makedirs(args.trace_dir, exist_ok=True)
-
-    was_enabled = obs_trace.enabled()
-    mem_was_enabled = obs_memory.enabled()
-    events_were_enabled = obs_events.enabled()
-    attr_was_enabled = obs_attr.enabled()
-    prof_was_enabled = obs_profiler.enabled()
-    health_was_enabled = obs_health.enabled()
-    profile_on = bool(getattr(args, "profile", False)) or prof_was_enabled
-    obs_trace.enable(clear=True)
-    obs_memory.enable(clear=True, sample_tracemalloc=True)
-    obs_events.enable(clear=not events_were_enabled)
-    obs_attr.enable(clear=True)
-    obs_health.enable(clear=True)
-    if profile_on:
-        obs_profiler.enable(getattr(args, "profile_hz", None), clear=True)
-    registry.reset()
-    # An ambient run context: telemetry still lands in the globals the
-    # artifact writers below read, but events carry the run_id and the
-    # run is listed on /runz if a server is scraping this process.
-    run_ctx = obs_runctx.RunContext.ambient(command=rest[0])
-    t0 = time.perf_counter()
-    try:
-        with perf_counters.counting(registry.counters), \
-                obs_runctx.using(run_ctx):
-            rc = inner.fn(inner)
-    finally:
-        if not was_enabled:
-            obs_trace.disable()
-        if not mem_was_enabled:
-            obs_memory.disable()
-        if not events_were_enabled:
-            obs_events.disable()
-        if not attr_was_enabled:
-            obs_attr.disable()
-        if not health_was_enabled:
-            obs_health.disable()
-        if profile_on and not prof_was_enabled:
-            obs_profiler.disable()
-    elapsed = time.perf_counter() - t0
-
-    spans = obs_trace.get_tracer().finished()
-    mem = obs_memory.get_tracker()
-    chrome_path = os.path.join(args.trace_dir, "trace.chrome.json")
-    jsonl_path = os.path.join(args.trace_dir, "trace.jsonl")
-    summary_path = os.path.join(args.trace_dir, "trace_summary.txt")
-    metrics_path = os.path.join(args.trace_dir, "metrics.json")
-    memory_path = os.path.join(args.trace_dir, "memory.json")
-    events_path = os.path.join(args.trace_dir, "events.jsonl")
-    write_chrome_trace(chrome_path, spans, mem_samples=mem.samples)
-    write_jsonl(jsonl_path, spans)
-    obs_events.get_log().write_jsonl(events_path)
-    with open(summary_path, "w") as fh:
-        fh.write(tree_summary(spans) + "\n\n" + kind_table(spans) + "\n")
-    import json as _json
-
-    with open(metrics_path, "w") as fh:
-        _json.dump(
-            {"build": build_info(), "wall_seconds": elapsed,
-             "run_id": run_ctx.run_id,
-             "metrics": registry.snapshot()},
-            fh, indent=2,
-        )
-        fh.write("\n")
-    with open(memory_path, "w") as fh:
-        _json.dump(mem.snapshot(), fh, indent=2)
-        fh.write("\n")
-    attr = obs_attr.get_recorder()
-    attribution_path = None
-    if attr.has_data:
-        attribution_path = os.path.join(args.trace_dir, "attribution.json")
-        with open(attribution_path, "w") as fh:
-            _json.dump(attr.snapshot(), fh, indent=2)
-            fh.write("\n")
-    health_collector = obs_health.get_collector()
-    health_path = None
-    if health_collector.has_data:
-        health_path = obs_health.write_health(
-            args.trace_dir, run_id=run_ctx.run_id,
-        )
-    # Snapshot the host calibration (load-only, never measures) so the
-    # trace dir is self-contained for later roofline attribution.
-    from .model.calibrate import load_roofline, machine_artifact
-
-    roofline = load_roofline()
-    if roofline is not None:
-        with open(os.path.join(args.trace_dir, "machine.json"), "w") as fh:
-            _json.dump(machine_artifact(roofline), fh, indent=2)
-            fh.write("\n")
-    profile_path = None
-    profile_doc = None
-    if profile_on:
-        snapshot = obs_profiler.get_store().snapshot()
-        profile_doc = obs_profiler.profile_artifact(
-            snapshot, run_id=run_ctx.run_id, command=rest[0],
-            duration_seconds=elapsed,
-        )
-        profile_path, _folded = obs_profiler.write_profile(
-            args.trace_dir, snapshot, run_id=run_ctx.run_id,
-            command=rest[0], duration_seconds=elapsed,
-        )
-
-    print(f"\n-- traced {len(spans)} spans in {elapsed:.2f}s "
-          f"({run_ctx.run_id})")
-    print(kind_table(spans))
-    if mem.readings:
-        last = mem.readings[-1]
-        print(f"\nmemory: peak memoized values {mem.peak_bytes:,} B "
-              f"(predicted {last.predicted_peak_bytes:,} B, "
-              f"{len(mem.readings)} iteration readings)")
-    if health_path is not None:
-        last = health_collector.readings[-1]
-        import math as _math
-
-        max_cond = last.max_condition_number
-        print(f"\nhealth: {len(health_collector.readings)} iteration "
-              f"readings, final trajectory {last.trajectory!r}, "
-              f"max κ(H) "
-              + (f"{max_cond:.3e}" if _math.isfinite(max_cond)
-                 else "singular")
-              + f", congruence {last.congruence:.4f}, "
-              f"{health_collector.total_pinv_fallbacks} pinv fallbacks")
-    if profile_doc is not None:
-        print(f"\nprofile: {profile_doc['n_samples']} samples @ "
-              f"{profile_doc['hz']:g} Hz "
-              f"({profile_doc['sampled_seconds']:.2f}s sampled, lanes: "
-              f"{', '.join(profile_doc['lanes']) or 'none'})")
-        hot = obs_profiler.format_hotspots(profile_doc, top=5)
-        if hot != "(no samples)":
-            print(hot)
-    print(f"\nwrote {chrome_path} (open in chrome://tracing or "
-          f"https://ui.perfetto.dev), {jsonl_path}, {memory_path}, "
-          f"{metrics_path}, {events_path}"
-          + (f", {attribution_path}" if attribution_path else "")
-          + (f", {health_path}" if health_path else "")
-          + (f", {profile_path} (+ profile.folded for flamegraph.pl/"
-             "speedscope)" if profile_path else ""))
+    with session(rest[0], sample_tracemalloc=True,
+                 profile=bool(getattr(args, "profile", False)),
+                 profile_hz=getattr(args, "profile_hz", None)) as run:
+        rc = inner.fn(inner)
+    written, notes = write_trace_dir(args.trace_dir, run)
+    for note in notes:
+        print(note)
+    print("\nwrote " + ", ".join(written))
     return rc
 
 
@@ -499,92 +361,17 @@ def cmd_profile(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .obs.artifacts import TraceArtifacts
-    from .obs.events import format_event
-    from .obs.export import kind_table, read_jsonl, tree_summary
-    from .obs.utilization import format_utilization, utilization_from_spans
+    from .obs.artifacts import TraceArtifacts, registry
 
-    path = args.trace
-    if os.path.isdir(path):
-        path = os.path.join(path, "trace.jsonl")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no trace file at {path!r} (run "
-                                "'repro trace <command>' first)")
-    trace_dir = os.path.dirname(path) or "."
-    arts = TraceArtifacts(trace_dir)
-    spans = read_jsonl(path)
-    print(f"{len(spans)} spans from {path}\n")
-    print(kind_table(spans))
-    print()
-    print(tree_summary(spans, max_children=args.max_children))
-    util = utilization_from_spans(spans)
-    if util is not None:
-        print()
-        print(format_utilization(util))
-    events = arts.events()
-    if events is not None:
-        print(f"\n{len(events)} events from {arts.path('events')} (last 5):")
-        for event in events[-5:]:
-            print("  " + format_event(event))
-    metrics_doc = arts.metrics()
-    if metrics_doc is not None:
-        counters = metrics_doc.get("metrics", {}).get("counters", {})
-        gauges = metrics_doc.get("metrics", {}).get("gauges", {})
-        if counters:
-            print("\ncounters: " + ", ".join(
-                f"{k}={v:,}" for k, v in counters.items()
-            ))
-        if gauges:
-            print("gauges  : " + ", ".join(
-                f"{k}={v:.3f}" for k, v in sorted(gauges.items())
-            ))
-    from .obs.attribution import attribution_from_spans, format_attribution
-
-    doc = arts.attribution()
-    if doc is not None:
-        rendered = format_attribution(doc)
-        if rendered:
-            print(f"\ncost attribution from {arts.path('attribution')}:")
-            print(rendered)
-    else:
-        # No recorder artifact: reconstruct the time attribution the
-        # spans alone support (per-node seconds, per-mode seconds).
-        doc = attribution_from_spans(spans)
-        if doc is not None:
-            rendered = format_attribution(doc)
-            if rendered:
-                print()
-                print(rendered)
-    # One-line achieved-throughput summary; trace dirs recorded before
-    # calibration existed simply report "uncalibrated".
-    from .obs.roofline import report_from_trace_dir, report_line
-
-    print()
-    print(report_line(report_from_trace_dir(trace_dir)))
-    # Top hotspots from the sampling profiler, when the run recorded one;
-    # pre-profiler trace dirs degrade to an explicit note, not an error.
-    from .obs.profiler import format_hotspots
-
-    profile_doc = arts.profile()
-    if profile_doc is not None:
-        print(f"\nsampling profile: {profile_doc.get('n_samples', 0)} "
-              f"samples @ {profile_doc.get('hz', 0):g} Hz — top hotspots:")
-        print(format_hotspots(profile_doc))
-    else:
-        print("\nno profile captured (run 'repro profile <cmd>' or "
-              "'repro trace --profile' to record one)")
-    # Numerical-health section; pre-health trace dirs degrade to an
-    # explicit note rather than an error.
-    from .obs.health import format_health
-
-    health_doc = arts.health()
-    if health_doc is not None:
-        print(f"\nnumerical health from {arts.path('health')}:")
-        print(format_health(health_doc))
-    else:
-        print("\nno numerical-health readings (pre-health trace dir; "
-              "re-run 'repro trace <cmd>' or set REPRO_HEALTH=1 to "
-              "record them)")
+    arts = TraceArtifacts.at(args.trace)
+    primary = registry()[0].name
+    if not arts.exists(primary):
+        raise FileNotFoundError(f"no trace file at {arts.path(primary)!r} "
+                                "(run 'repro trace <command>' first)")
+    for art in registry():
+        text = art.report(arts, args) if art.report else None
+        if text is not None:
+            print(text)
     for filename, reason in arts.skipped:
         print(f"warning: skipped malformed {filename}: {reason}",
               file=sys.stderr)
@@ -647,15 +434,8 @@ def cmd_bench_diff(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .obs import attribution as obs_attr
-    from .obs import events as obs_events
-    from .obs import health as obs_health
-    from .obs import memory as obs_memory
-    from .obs import runctx as obs_runctx
-    from .obs import trace as obs_trace
-    from .obs.metrics import registry
+    from .obs.seam import session
     from .obs.serve import ObsServer, load_trace_dir
-    from .perf import counters as perf_counters
 
     rest = list(args.rest)
     if rest and rest[0] == "--":
@@ -685,37 +465,14 @@ def cmd_serve(args) -> int:
     # Wrap mode: run another subcommand with telemetry on and the
     # endpoint live for the duration (mirrors 'repro trace' enablement).
     inner = build_parser().parse_args(rest)
-    was_enabled = obs_trace.enabled()
-    mem_was_enabled = obs_memory.enabled()
-    events_were_enabled = obs_events.enabled()
-    attr_was_enabled = obs_attr.enabled()
-    health_was_enabled = obs_health.enabled()
-    obs_trace.enable(clear=True)
-    obs_memory.enable(clear=True)
-    obs_events.enable(clear=not events_were_enabled)
-    obs_attr.enable(clear=True)
-    obs_health.enable(clear=True)
-    registry.reset()
-    server.start()
-    run_ctx = obs_runctx.RunContext.ambient(command=rest[0])
-    print(f"serving {server.url}/metrics (also /healthz, /runz) "
-          f"for the duration of the command ({run_ctx.run_id})")
-    try:
-        with perf_counters.counting(registry.counters), \
-                obs_runctx.using(run_ctx):
+    with session(rest[0]) as run:
+        server.start()
+        print(f"serving {server.url}/metrics (also /healthz, /runz) "
+              f"for the duration of the command ({run.run_id})")
+        try:
             rc = inner.fn(inner)
-    finally:
-        server.stop()
-        if not was_enabled:
-            obs_trace.disable()
-        if not mem_was_enabled:
-            obs_memory.disable()
-        if not events_were_enabled:
-            obs_events.disable()
-        if not attr_was_enabled:
-            obs_attr.disable()
-        if not health_was_enabled:
-            obs_health.disable()
+        finally:
+            server.stop()
     return rc
 
 
@@ -769,60 +526,42 @@ def cmd_dashboard(args) -> int:
         current = [e for e in entries if e.run_id == last_run]
         diffs = compare(current, entries, rel_band=args.band, k=args.k)
 
-    readings: list = []
-    kinds = summary = None
-    utilization = None
-    pool_tasks: list[dict] = []
-    attribution_doc = None
-    roofline_doc = None
-    profile_doc = None
-    health_doc = None
+    panels: dict = {"memory_readings": []}
     skipped: list[tuple[str, str]] = []
     if args.trace_dir and os.path.isdir(args.trace_dir):
         from .obs.artifacts import TraceArtifacts
         from .obs.roofline import report_from_trace_dir
 
-        roofline_report = report_from_trace_dir(args.trace_dir)
-        if roofline_report.calibrated or roofline_report.configs:
-            roofline_doc = roofline_report.to_dict()
         arts = TraceArtifacts(args.trace_dir)
-        readings = arts.memory_readings() or []
-        attribution_doc = arts.attribution()
-        profile_doc = arts.profile()
-        health_doc = arts.health()
+        panels = {"memory_readings": arts.memory() or [],
+                  "attribution": arts.attribution(),
+                  "profile": arts.profile(), "health": arts.health()}
+        roofline_report = report_from_trace_dir(args.trace_dir, arts=arts)
+        if roofline_report.calibrated or roofline_report.configs:
+            panels["roofline"] = roofline_report.to_dict()
         spans = arts.spans()
         if spans is not None:
             from .obs.utilization import utilization_from_spans
 
-            kinds = kind_table(spans)
-            summary = tree_summary(spans)
-            utilization = utilization_from_spans(spans)
-            pool_tasks = [
-                {"worker": rec.attrs.get("worker", 0), "t0": rec.t0,
-                 "t1": rec.t1,
-                 "queue_wait": rec.attrs.get("queue_wait", 0.0),
-                 "parent": rec.parent}
-                for rec in spans
-                if rec.kind == "pool_task" and rec.t1 is not None
-            ]
+            panels.update(
+                kind_table_text=kind_table(spans),
+                trace_summary=tree_summary(spans),
+                utilization=utilization_from_spans(spans),
+                pool_tasks=[
+                    {"worker": rec.attrs.get("worker", 0), "t0": rec.t0,
+                     "t1": rec.t1,
+                     "queue_wait": rec.attrs.get("queue_wait", 0.0),
+                     "parent": rec.parent}
+                    for rec in spans
+                    if rec.kind == "pool_task" and rec.t1 is not None
+                ],
+            )
         skipped = arts.skipped
 
-    out = write_dashboard(
-        args.out,
-        history_entries=entries,
-        diffs=diffs,
-        memory_readings=readings,
-        utilization=utilization,
-        pool_tasks=pool_tasks,
-        kind_table_text=kinds,
-        trace_summary=summary,
-        attribution=attribution_doc,
-        roofline=roofline_doc,
-        profile=profile_doc,
-        health=health_doc,
-    )
+    out = write_dashboard(args.out, history_entries=entries, diffs=diffs,
+                          **panels)
     print(f"wrote {out} ({len(entries)} history entries, "
-          f"{len(readings)} memory readings)")
+          f"{len(panels['memory_readings'])} memory readings)")
     for filename, reason in skipped:
         print(f"warning: skipped malformed {filename}: {reason}",
               file=sys.stderr)

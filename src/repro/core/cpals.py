@@ -19,15 +19,10 @@ from ..linalg.gram import GramCache
 from ..linalg.innerprod import innerprod_from_mttkrp
 from ..linalg.norms import normalize_columns
 from ..linalg.solve import solve_normal_equations
-from ..obs import attribution as _obs_attr
-from ..obs import events as _obs_events
-from ..obs import health as _obs_health
-from ..obs import memory as _obs_mem
-from ..obs import runctx as _runctx
+from ..obs import seam as _seam
 from ..obs import trace as _obs
-from ..perf import counters as perf
 from .coo import CooTensor
-from .dtypes import VALUE_DTYPE, VALUE_ITEMSIZE
+from .dtypes import VALUE_DTYPE
 from .engine import MemoizedMttkrp
 from .kruskal import KruskalTensor
 from .validate import check_factor_matrices, check_positive_int, check_random_state
@@ -48,23 +43,13 @@ class CPResult:
         ``strategy='auto'`` was requested, else None.
     timings: wall-clock breakdown: ``setup`` (symbolic phase + planning),
         ``per_iteration`` (mean seconds), ``total``.
-    drift_readings: per-iteration
-        :class:`~repro.obs.watchdog.DriftReading` list when a model-drift
-        watchdog was active (tracing enabled or one passed in), else None.
-    memory_readings: per-iteration
-        :class:`~repro.obs.memory.MemReading` list (measured vs predicted
-        peak memoized-value bytes) when memory tracking was enabled
-        (:func:`repro.obs.memory.enabled`), else None.
-    attribution_readings: per-iteration
-        :class:`~repro.obs.attribution.AttributionReading` list (measured
-        per-tree-node / per-mode work aligned node-for-node with the cost
-        model) when attribution was enabled
-        (:func:`repro.obs.attribution.enabled`), else None.
-    health_readings: per-iteration
-        :class:`~repro.obs.health.HealthReading` list (Gram conditioning,
-        factor deltas, congruence/swamp detection, fit-trajectory
-        classification) when numerical-health collection was enabled
-        (:func:`repro.obs.health.enabled`), else None.
+    drift_readings, memory_readings, attribution_readings,
+    health_readings: per-iteration readings of the drift watchdog
+        (:class:`~repro.obs.watchdog.DriftReading`), memory tracker
+        (:class:`~repro.obs.memory.MemReading`), cost attribution
+        (:class:`~repro.obs.attribution.AttributionReading`) and health
+        collector (:class:`~repro.obs.health.HealthReading`); each is None
+        unless that instrument ran (see :mod:`repro.obs.seam`).
     """
 
     ktensor: KruskalTensor
@@ -198,47 +183,20 @@ def cp_als(
     if tensor.ndim < 2:
         raise ValueError("CP-ALS requires an order >= 2 tensor")
 
-    ctx = run_ctx if run_ctx is not None else _runctx.current()
-    if ctx is not None:
-        ctx.meta.setdefault("shape", list(tensor.shape))
-        ctx.meta.setdefault("nnz", tensor.nnz)
-        ctx.meta.setdefault("rank", rank)
-    if ctx is not None and _runctx.current() is ctx:
-        # Already active (the caller's own ``using`` block): run in place.
+    with _seam.run_scope(run_ctx, shape=list(tensor.shape), nnz=tensor.nnz,
+                         rank=rank) as ctx:
         return _cp_als_run(
             tensor, rank, strategy=strategy, n_iter_max=n_iter_max, tol=tol,
             init=init, random_state=random_state,
             memory_budget=memory_budget, engine_factory=engine_factory,
-            callback=callback, watchdog=watchdog,
-        )
-    if ctx is None:
-        ctx = _runctx.RunContext.ambient(
-            shape=list(tensor.shape), nnz=tensor.nnz, rank=rank,
-        )
-    with _runctx.using(ctx):
-        return _cp_als_run(
-            tensor, rank, strategy=strategy, n_iter_max=n_iter_max, tol=tol,
-            init=init, random_state=random_state,
-            memory_budget=memory_budget, engine_factory=engine_factory,
-            callback=callback, watchdog=watchdog,
+            callback=callback, watchdog=watchdog, ctx=ctx,
         )
 
 
-def _cp_als_run(
-    tensor: CooTensor,
-    rank: int,
-    *,
-    strategy,
-    n_iter_max: int,
-    tol: float,
-    init,
-    random_state,
-    memory_budget,
-    engine_factory,
-    callback,
-    watchdog,
-) -> CPResult:
-    """The ALS loop proper, always running inside an active run context."""
+def _cp_als_run(tensor: CooTensor, rank: int, *, strategy, n_iter_max,
+                tol, init, random_state, memory_budget, engine_factory,
+                callback, watchdog, ctx) -> CPResult:
+    """The ALS loop proper, running inside the active run context ``ctx``."""
     factors = initialize_factors(tensor, rank, init, random_state)
     norm_x = tensor.norm()
 
@@ -259,61 +217,12 @@ def _cp_als_run(
         strategy_name = engine.strategy.name
     engine.set_factors(factors)
     setup_time = time.perf_counter() - t0
-    run_ctx = _runctx.current()
-    if run_ctx is not None:
-        run_ctx.meta.setdefault("strategy", strategy_name)
-
-    if watchdog is None and _obs.enabled() and isinstance(engine, MemoizedMttkrp):
-        from ..model.cost import cost_from_symbolic
-        from ..obs.watchdog import DriftWatchdog
-
-        watchdog = DriftWatchdog(cost_from_symbolic(engine.symbolic, rank))
-
-    mem_tracker = None
-    mem_readings: list | None = None
-    predicted_peak = 0
-    if _obs_mem.enabled() and isinstance(engine, MemoizedMttkrp):
-        mem_tracker = _obs_mem.get_tracker()
-        node_nnz = engine.symbolic.node_nnz()
-        mem_tracker.register_expected(
-            id(engine),
-            [n * rank * VALUE_ITEMSIZE for n in node_nnz],
-        )
-        if watchdog is not None:
-            predicted_peak = watchdog.cost.peak_value_bytes
-        else:
-            from ..model.cost import simulate_peak_value_bytes
-
-            predicted_peak = simulate_peak_value_bytes(
-                engine.strategy, node_nnz, rank
-            )
-        mem_readings = []
-
-    attr_recorder = None
-    attr_readings: list | None = None
-    if _obs_attr.enabled() and isinstance(engine, MemoizedMttkrp):
-        attr_recorder = _obs_attr.get_recorder()
-        attr_recorder.register(
-            engine.strategy, engine.symbolic.node_nnz(), rank
-        )
-        attr_readings = []
-
-    health_collector = None
-    health_readings: list | None = None
-    if _obs_health.enabled():
-        health_collector = _obs_health.get_collector()
-        health_collector.start_run(n_modes=tensor.ndim, rank=rank)
-        health_readings = []
-    # Solve-site attribution for the solver's fallback telemetry: cheap
-    # (one contextvar set per mode), but only paid when someone listens.
-    track_site = health_collector is not None or _obs_events.enabled()
-
-    if _obs_events.enabled():
-        _obs_events.emit(
-            "run_start", shape=list(tensor.shape), nnz=tensor.nnz,
-            rank=rank, strategy=strategy_name, n_iter_max=n_iter_max,
-            tol=tol,
-        )
+    ctx.meta.setdefault("strategy", strategy_name)
+    observer = _seam.run_observer(
+        tensor, rank, engine, memoized=isinstance(engine, MemoizedMttkrp),
+        watchdog=watchdog, strategy_name=strategy_name,
+        n_iter_max=n_iter_max, tol=tol,
+    )
 
     mode_order = tuple(engine.mode_order)
     grams = GramCache(engine.factors)
@@ -326,8 +235,8 @@ def _cp_als_run(
         nonlocal weights
         M_last: np.ndarray | None = None
         for n in mode_order:
-            if track_site:
-                _obs_health.set_site(iteration, n)
+            if observer is not None:
+                observer.mode(iteration, n)
             M = engine.mttkrp(n)
             with _obs.span("factor_solve", mode=n):
                 H = grams.combined(skip=n)
@@ -340,12 +249,8 @@ def _cp_als_run(
                 )
                 norms = np.where(norms > 0, norms, 1.0)
                 weights = norms
-                if health_collector is not None:
-                    # Read-only: conditioning of the Gram just solved and
-                    # the relative change against the outgoing factor.
-                    health_collector.observe_mode(
-                        n, H, engine.factors[n], U
-                    )
+                if observer is not None:
+                    observer.solved(n, H, engine.factors[n], U)
                 engine.update_factor(n, U)
                 grams.update(n, U)
             M_last = M
@@ -355,90 +260,24 @@ def _cp_als_run(
     try:
         for iteration in range(n_iter_max):
             it0 = time.perf_counter()
-            if mem_tracker is not None:
-                mem_tracker.begin_window()
-            if attr_recorder is not None:
-                attr_recorder.begin_window()
-            if health_collector is not None:
-                health_collector.begin_iteration(iteration)
+            if observer is not None:
+                observer.begin(iteration)
             with _obs.span("als_iteration", iteration=iteration):
-                if watchdog is not None:
-                    # Count this iteration's work in a private sink, then
-                    # fold it into any caller-installed counters so their
-                    # totals are unchanged by the watchdog being active.
-                    outer = perf.active_counters()
-                    with perf.counting() as it_counters:
-                        M_last = run_modes(iteration)
-                    if outer is not None:
-                        outer.add(it_counters)
-                else:
+                if observer is None:
                     M_last = run_modes(iteration)
+                else:
+                    M_last = observer.measure(run_modes, iteration)
             it_seconds = time.perf_counter() - it0
             iter_times.append(it_seconds)
-            mem_reading = None
-            if mem_tracker is not None:
-                mem_reading = mem_tracker.observe_iteration(
-                    iteration,
-                    predicted_peak_bytes=predicted_peak,
-                    workspace_bytes=engine.workspace_nbytes(),
-                    factor_bytes=engine.factor_bytes(),
-                )
-                mem_readings.append(mem_reading)
-            attr_reading = None
-            if attr_recorder is not None:
-                attr_reading = attr_recorder.observe_iteration(iteration)
-                attr_readings.append(attr_reading)
 
             last = mode_order[-1]
             fit = _compute_fit(
                 norm_x, weights, engine.factors, grams, M_last, last
             )
             fits.append(fit)
-            health_reading = None
-            if health_collector is not None:
-                health_reading = health_collector.observe_iteration(
-                    iteration, grams=grams, fit=fit
-                )
-                health_readings.append(health_reading)
-            if watchdog is not None:
-                watchdog.observe(iteration, it_counters, it_seconds,
-                                 mem=mem_reading, attribution=attr_reading,
-                                 health=health_reading)
-            if _obs_events.enabled():
-                fields = {"iteration": iteration, "fit": fit,
-                          "seconds": it_seconds}
-                if len(fits) > 1:
-                    fields["delta"] = fits[-1] - fits[-2]
-                if mem_reading is not None:
-                    fields["mem_peak_bytes"] = \
-                        mem_reading.measured_peak_bytes
-                    fields["mem_live_bytes"] = mem_reading.live_bytes
-                if health_reading is not None:
-                    max_cond = health_reading.max_condition_number
-                    if np.isfinite(max_cond):
-                        fields["health_max_condition"] = max_cond
-                    max_delta = health_reading.max_factor_delta
-                    if np.isfinite(max_delta):
-                        fields["health_max_factor_delta"] = max_delta
-                    fields["health_congruence"] = health_reading.congruence
-                    fields["health_trajectory"] = health_reading.trajectory
-                    if health_reading.n_truncated:
-                        fields["health_truncated_eigenvalues"] = \
-                            health_reading.n_truncated
-                    if health_reading.pinv_fallbacks:
-                        fields["health_pinv_fallbacks"] = \
-                            health_reading.pinv_fallbacks
-                if watchdog is not None and watchdog.readings:
-                    reading = watchdog.readings[-1]
-                    fields["drift_flops_ratio"] = reading.flops_ratio
-                    fields["drift_words_ratio"] = reading.words_ratio
-                    if reading.time_ratio is not None:
-                        fields["drift_time_ratio"] = reading.time_ratio
-                    if reading.mem_ratio is not None:
-                        fields["drift_mem_ratio"] = reading.mem_ratio
-                    if reading.fired:
-                        fields["drift_fired"] = list(reading.fired)
-                _obs_events.emit("iteration", **fields)
+            if observer is not None:
+                observer.end(iteration, fit=fit, fits=fits,
+                             seconds=it_seconds, grams=grams)
             if callback is not None:
                 # A truthy return requests early termination (used by
                 # cp_als_restarts' hopeless-restart cutoff).
@@ -449,16 +288,16 @@ def _cp_als_run(
                 converged = True
                 break
     finally:
-        if track_site:
-            _obs_health.clear_site()
+        if observer is not None:
+            observer.close()
 
     ktensor = KruskalTensor(weights, engine.factors).normalize()
-    if _obs_events.enabled():
-        _obs_events.emit(
-            "run_stop", n_iterations=len(fits), converged=converged,
-            fit=fits[-1] if fits else None,
-            total_seconds=setup_time + float(np.sum(iter_times)),
-        )
+    total = setup_time + float(np.sum(iter_times))
+    readings = {}
+    if observer is not None:
+        observer.stop(n_iterations=len(fits), converged=converged,
+                      fit=fits[-1] if fits else None, total_seconds=total)
+        readings = observer.results()
     return CPResult(
         ktensor=ktensor,
         fits=fits,
@@ -469,12 +308,9 @@ def _cp_als_run(
         timings={
             "setup": setup_time,
             "per_iteration": float(np.mean(iter_times)) if iter_times else 0.0,
-            "total": setup_time + float(np.sum(iter_times)),
+            "total": total,
         },
-        drift_readings=watchdog.readings if watchdog is not None else None,
-        memory_readings=mem_readings,
-        attribution_readings=attr_readings,
-        health_readings=health_readings,
+        **readings,
     )
 
 

@@ -13,12 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-import time
-
 from ..kernels import RebuildContext, WorkspaceArena, get_kernel
-from ..obs import attribution as _attr
-from ..obs import events as _events
-from ..obs import memory as _mem
+from ..obs import seam as _seam
 from ..obs import trace as _trace
 from ..obs.metrics import registry as _metrics
 from ..perf import counters as perf
@@ -135,15 +131,15 @@ class MemoizedMttkrp:
                 f"{(self.tensor.shape[mode], self.rank)}, got {U.shape}"
             )
         self.factors[mode] = U
-        tracker = _mem.get_tracker() if _mem.enabled() else None
-        for nid in self.strategy.invalidated_by(mode):
-            if tracker is not None and self._values[nid] is not None:
-                tracker.on_free(id(self), nid)
-            self._values[nid] = None
+        self._drop(self.strategy.invalidated_by(mode), _seam.node_tracker())
 
     def invalidate_all(self) -> None:
-        tracker = _mem.get_tracker() if _mem.enabled() else None
-        for nid in range(len(self._values)):
+        self._drop(range(len(self._values)), _seam.node_tracker())
+
+    def _drop(self, node_ids, tracker) -> None:
+        """Free the cached values of ``node_ids``, reporting each freed
+        node to the memory tracker (when one is active)."""
+        for nid in node_ids:
             if tracker is not None and self._values[nid] is not None:
                 tracker.on_free(id(self), nid)
             self._values[nid] = None
@@ -176,30 +172,28 @@ class MemoizedMttkrp:
         matrices by the tree height.
         """
         mode = check_mode(mode, self.tensor.ndim)
-        attr = _attr.get_recorder() if _attr.enabled() else None
-        if attr is not None:
-            attr.begin_mode(mode)
-        with _trace.span("mttkrp", mode=mode):
-            tracker = _mem.get_tracker() if _mem.enabled() else None
-            for nid in self.strategy.invalidated_by(mode):
-                if tracker is not None and self._values[nid] is not None:
-                    tracker.on_free(id(self), nid)
-                self._values[nid] = None
-            leaf_id = self.strategy.leaf_id(mode)
-            self._ensure_node(leaf_id)
-            sym = self.symbolic.nodes[leaf_id]
-            vals = self._values[leaf_id]
-            assert vals is not None
-            out = np.zeros(
-                (self.tensor.shape[mode], self.rank), dtype=VALUE_DTYPE
-            )
-            out[sym.index[:, 0]] = vals
-            perf.record(mttkrps=1, words=vals.size)
-            if attr is not None:
-                attr.end_mode(mode, leaf_id, vals.size)
-            if _trace.enabled():
-                self._publish_memory_gauges()
-            return out
+        probe = _seam.engine_probe()
+        if probe is None:
+            return self._mttkrp(mode, None)
+        with probe.mttkrp(self, mode):
+            return self._mttkrp(mode, probe.tracker)
+
+    def _mttkrp(self, mode: int, tracker) -> np.ndarray:
+        self._drop(self.strategy.invalidated_by(mode), tracker)
+        return self._leaf_mttkrp(mode)
+
+    def _leaf_mttkrp(self, mode: int) -> np.ndarray:
+        """Scatter mode ``mode``'s leaf values (built if needed) into
+        the dense ``I_n x R`` MTTKRP."""
+        leaf_id = self.strategy.leaf_id(mode)
+        self._ensure_node(leaf_id)
+        sym = self.symbolic.nodes[leaf_id]
+        vals = self._values[leaf_id]
+        assert vals is not None
+        out = np.zeros((self.tensor.shape[mode], self.rank), dtype=VALUE_DTYPE)
+        out[sym.index[:, 0]] = vals
+        perf.record(mttkrps=1, words=vals.size)
+        return out
 
     def mttkrp_all(self) -> list[np.ndarray]:
         """All N MTTKRPs under the *current* factors, one tree sweep.
@@ -214,17 +208,7 @@ class MemoizedMttkrp:
         outs: list[np.ndarray] = [None] * self.tensor.ndim  # type: ignore[list-item]
         for mode in self.strategy.mode_order:
             with _trace.span("mttkrp", mode=mode, sweep=True):
-                leaf_id = self.strategy.leaf_id(mode)
-                self._ensure_node(leaf_id)
-                sym = self.symbolic.nodes[leaf_id]
-                vals = self._values[leaf_id]
-                assert vals is not None
-                out = np.zeros(
-                    (self.tensor.shape[mode], self.rank), dtype=VALUE_DTYPE
-                )
-                out[sym.index[:, 0]] = vals
-                perf.record(mttkrps=1, words=vals.size)
-                outs[mode] = out
+                outs[mode] = self._leaf_mttkrp(mode)
         if _trace.enabled():
             self._publish_memory_gauges()
         return outs
@@ -269,8 +253,9 @@ class MemoizedMttkrp:
         self._ensure_node(node.parent)
         value = self._compute_node(node_id)
         self._values[node_id] = value
-        if _mem.enabled():
-            _mem.get_tracker().on_store(id(self), node_id, value.nbytes)
+        tracker = _seam.node_tracker()
+        if tracker is not None:
+            tracker.on_store(id(self), node_id, value.nbytes)
 
     def _rebuild_context(self, node_id: int) -> RebuildContext:
         """Assemble the static + numeric state a kernel backend consumes."""
@@ -297,40 +282,40 @@ class MemoizedMttkrp:
         )
 
     def _compute_node(self, node_id: int) -> np.ndarray:
+        """Rebuild one node: the single place telemetry wraps a rebuild
+        (span, timing, event, attribution) whatever executes it."""
         ctx = self._rebuild_context(node_id)
-        attr = _attr.get_recorder() if _attr.enabled() else None
-        seconds = 0.0
-        if _trace.enabled():
-            with _trace.span("node_rebuild", node=node_id,
-                             nnz=ctx.sym.nnz,
-                             parent_nnz=ctx.parent_sym.nnz) as rec:
-                result = self._kernel.traced_rebuild(ctx)
-            if rec is not None:
-                seconds = rec.duration
-                if _events.enabled():
-                    _events.emit("node_rebuild", node=node_id,
-                                 nnz=ctx.sym.nnz, seconds=seconds)
-        elif _events.enabled() or attr is not None:
-            t0 = time.perf_counter()
-            result = self._kernel.rebuild(ctx)
-            seconds = time.perf_counter() - t0
-            if _events.enabled():
-                _events.emit("node_rebuild", node=node_id, nnz=ctx.sym.nnz,
-                             seconds=seconds)
-        else:
-            result = self._kernel.rebuild(ctx)
         flops, words = contraction_work(
             ctx.parent_sym.nnz, self.rank, len(ctx.sym.delta_modes)
         )
+        run, attrs = self._rebuild_plan(node_id, ctx)
+        probe = _seam.engine_probe()
+        if probe is None:
+            result = run(False)
+        else:
+            result = probe.rebuild(node_id, ctx, run, attrs, flops, words)
         perf.record(
             flops=flops,
             words=words,
             contractions=len(ctx.sym.delta_modes),
             node_builds=1,
         )
-        if attr is not None:
-            attr.on_rebuild(node_id, flops, words, seconds)
         return result
+
+    def _rebuild_plan(self, node_id: int, ctx: RebuildContext):
+        """``(run, attrs)``: ``run(traced)`` executes the rebuild and
+        ``attrs`` are extra span/event fields.  Subclasses change only
+        this; the telemetry around it stays in :meth:`_compute_node`."""
+        kernel = self._kernel
+
+        def run(traced: bool) -> np.ndarray:
+            if not traced:
+                return kernel.rebuild(ctx)
+            # A kernel span separates the backend's time from the engine's.
+            with _trace.span("kernel", backend=kernel.name, node=node_id):
+                return kernel.rebuild(ctx)
+
+        return run, {}
 
     def workspace_nbytes(self) -> int:
         """Bytes currently held by the kernel workspace arena."""

@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dtypes import VALUE_DTYPE
-from ..obs import trace as _trace
 from .blocking import resolve_block_rows
 from .workspace import WorkspaceArena
 
@@ -71,14 +70,6 @@ class KernelBackend:
 
     def rebuild(self, ctx: RebuildContext) -> np.ndarray:
         raise NotImplementedError
-
-    def traced_rebuild(self, ctx: RebuildContext) -> np.ndarray:
-        """:meth:`rebuild` inside a ``kernel`` span attributing the pass to
-        this backend (separating kernel time from the engine's accounting)."""
-        if not _trace.enabled():
-            return self.rebuild(ctx)
-        with _trace.span("kernel", backend=self.name, node=ctx.node_id):
-            return self.rebuild(ctx)
 
     def rebuild_chunk(self, ctx: RebuildContext, source_slice: slice,
                       segment_slice: slice, out: np.ndarray) -> None:

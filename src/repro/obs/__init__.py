@@ -1,68 +1,21 @@
-"""Observability: span tracing, metrics export, and model-drift detection.
+"""Observability: tracing, metrics, run telemetry and model-drift checks.
 
-Zero-dependency instrumentation for the engine/kernel/parallel stack:
+Zero-dependency instrumentation, off by default and behind one seam:
 
-* :mod:`repro.obs.trace` — span-based tracer with contextvar propagation
-  (worker-thread spans nest under their engine span); off by default,
-  no-op-cheap when off, enabled via :func:`enable` or ``REPRO_TRACE=1``.
-* :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (load in
-  ``chrome://tracing`` / Perfetto), JSONL, and human-readable summaries.
-* :mod:`repro.obs.metrics` — per-span-kind wall-time histograms, the
-  engine's operation counters, and gauges, snapshotted by :func:`metrics`.
-* :mod:`repro.obs.watchdog` — per-iteration comparison of model-predicted
-  cost against measured counters/time, warning on drift.  (Imported
-  lazily: it depends on :mod:`repro.model`, which depends on the engine
-  this package instruments.)
-* :mod:`repro.obs.memory` — memoized-value memory tracker fed by engine
-  node lifecycle events; pairs measured peak bytes with the cost model's
-  prediction per ALS iteration.  Enabled via :func:`memory.enable`,
-  ``REPRO_TRACE=1``, or ``REPRO_MEMTRACK=1``.
-* :mod:`repro.obs.history` — append-only benchmark history (JSONL) and
-  the noise-aware regression comparator behind ``repro bench-diff``.
-* :mod:`repro.obs.dashboard` — self-contained HTML dashboard (bench
-  sparklines, measured-vs-predicted memory series, trace summaries,
-  worker-utilization lanes).
-* :mod:`repro.obs.events` — structured JSON-lines run-event log
-  (``repro-events/v1``): run start/stop, per-iteration fit/drift/memory,
-  node rebuilds, warnings; ring buffer + optional file sink, enabled via
-  :func:`events.enable` or ``REPRO_EVENTS``.
-* :mod:`repro.obs.serve` — stdlib HTTP OpenMetrics exporter
-  (``/metrics``, ``/healthz``, ``/runz``) over the live registry, event
-  log, and memory tracker; behind ``repro serve``.
-* :mod:`repro.obs.utilization` — per-worker busy/queue-wait/imbalance
-  stats derived from ``pool_task`` spans, surfaced by ``repro report``,
-  the dashboard, and the E8 scaling experiment.
-* :mod:`repro.obs.runctx` — run-scoped telemetry contexts: a
-  :class:`RunContext` bundles a ``run_id`` with (optionally) private
-  tracer/event-log/metrics/memory instruments so concurrent runs in one
-  process keep fully separated telemetry; the :data:`run_registry`
-  feeds ``/runz`` and the ``run_id``-labelled ``/metrics`` families.
-* :mod:`repro.obs.explain` — planner explainability: the complete
-  candidate search with per-node/per-mode predicted cost terms as a
-  versioned ``repro-plan/v1`` artifact (``repro explain``).  Imported
-  lazily, like the watchdog.
-* :mod:`repro.obs.attribution` — measured per-tree-node / per-mode cost
-  attribution during real runs, aligned node-for-node with the model's
-  prediction; feeds the watchdog's node/mode blame and the
-  ``attr.mode*.flops_ratio`` gauges.  Enabled via
-  :func:`attribution.enable` or ``REPRO_ATTRIBUTION=1``.
-* :mod:`repro.obs.profiler` — sampling wall-clock stack profiler joined
-  to the span tree: folded ``lane → span path → frames`` stacks across
-  the thread *and* process execution tiers, persisted as a
-  ``repro-profile/v1`` artifact (``profile.json`` + ``profile.folded``
-  for flamegraph.pl / speedscope).  Enabled via :func:`profiler.enable`,
-  ``REPRO_PROFILE=1``, or ``repro profile <cmd>``.
-* :mod:`repro.obs.artifacts` — one shared loader for ``repro trace``
-  artifact directories (:class:`TraceArtifacts`): missing files are
-  absent, malformed files warn and are skipped, consistently across
-  ``report`` / ``dashboard`` / ``serve`` replay.
-* :mod:`repro.obs.health` — per-iteration numerical-health telemetry:
-  Gram conditioning (condition number + truncated eigenvalues per
-  mode), relative factor deltas, cross-mode column congruence
-  (swamp detection), and a converging/stalled/swamped fit-trajectory
-  classifier, persisted as a ``repro-health/v1`` artifact
-  (``health.json``).  Enabled via :func:`health.enable`,
-  ``REPRO_TRACE=1``, or ``REPRO_HEALTH=1``.
+* :mod:`repro.obs.switch` — every instrument (tracer, memory tracker,
+  event log, attribution recorder, health collector, profiler) is a
+  :class:`~repro.obs.switch.Switch`: an env-seeded on/off flag and a
+  global instance that a run context can pin and replace per run;
+* :mod:`repro.obs.seam` — what the numeric core sees: one observer per
+  ``cp_als`` run fanning out to each instrument's
+  :class:`~repro.obs.switch.RunPlugin`, the engines' probes, and the
+  enable/restore session behind ``repro trace`` / ``repro serve``;
+* :mod:`repro.obs.artifacts` — the trace-directory artifact registry.
+
+:mod:`~repro.obs.watchdog` and :mod:`~repro.obs.explain` depend on
+:mod:`repro.model`, which depends on the engine this package
+instruments, so they are imported lazily.  ``docs/observability.md``
+describes each instrument and how to add a signal.
 
 Quickstart::
 
@@ -78,6 +31,8 @@ or, from the shell, ``repro trace decompose data.tns --rank 16``.
 """
 
 from __future__ import annotations
+
+import importlib
 
 from . import artifacts, attribution, dashboard, events, export, history
 from . import health, memory, profiler, runctx, serve, trace, utilization
@@ -119,21 +74,20 @@ __all__ = [
     "ModelDriftWarning", "DriftWatchdog",
 ]
 
+#: submodules imported on first access, with the names they provide.
+_LAZY = {
+    "watchdog": ("DriftWatchdog", "ModelDriftWarning", "DriftReading"),
+    "explain": ("PlanExplanation", "explain_plan", "validate_plan_artifact"),
+}
+
 
 def __getattr__(name):
-    # Lazy: repro.obs.watchdog -> repro.model -> repro.core.engine -> here.
-    if name in ("watchdog", "DriftWatchdog", "ModelDriftWarning", "DriftReading"):
-        from . import watchdog
-
-        if name == "watchdog":
-            return watchdog
-        return getattr(watchdog, name)
-    # Lazy for the same reason: explain drives repro.model.planner.
-    if name in ("explain", "PlanExplanation", "explain_plan",
-                "validate_plan_artifact"):
-        from . import explain
-
-        if name == "explain":
-            return explain
-        return getattr(explain, name)
+    # Lazy: repro.obs.watchdog -> repro.model -> repro.core.engine -> here,
+    # and explain drives repro.model.planner.  ``import_module`` rather
+    # than ``from . import``: the latter's fromlist check would re-enter
+    # this hook before the submodule is bound.
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = importlib.import_module(f".{module}", __name__)
+            return mod if name == module else getattr(mod, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,60 +1,137 @@
-"""Shared loader for ``repro trace`` artifact directories.
+"""The trace-directory artifact registry and its shared loader.
 
-Three consumers read trace directories — ``repro report``, ``repro
-dashboard``, and ``repro serve``'s replay mode — and before this module
-each had its own ad-hoc ``os.path.exists`` + ``json.load`` block with
-its own (inconsistent) failure behavior.  :class:`TraceArtifacts` gives
-them one policy, the same one ``repro bench-diff`` applies to history
-files: a **missing** artifact is simply absent (``None``, no noise — old
-trace dirs predate newer artifacts by design), while a **malformed** one
-is skipped with a warning naming the file and the parse error, never an
-exception.  Accessors are lazy and cached, so a consumer that only wants
-``metrics.json`` never touches the other files.
+Each file a ``repro trace`` directory can hold is an :class:`Artifact` in
+:func:`registry`: its name, file name and schema tag, how it is written
+(:func:`write_trace_dir`), loaded (:class:`TraceArtifacts`), reported
+(``repro report``) and replayed by ``repro serve``
+(:func:`repro.obs.serve.load_trace_dir`).
+
+:class:`TraceArtifacts` applies one policy to every artifact: a missing
+file is simply absent (``None`` — old trace dirs predate newer artifacts
+by design), a malformed one (unparsable, or the wrong ``schema`` tag) is
+skipped with a warning, never an exception.  Loads are lazy and cached.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import logging
 import os
+from dataclasses import dataclass
+from typing import Callable
 
-__all__ = ["TraceArtifacts"]
+__all__ = ["Artifact", "TraceArtifacts", "registry", "write_trace_dir"]
 
 _log = logging.getLogger("repro.obs.artifacts")
 
-#: artifact filename per accessor (also the sniff list for ``is_empty``).
-FILENAMES = {
-    "spans": "trace.jsonl",
-    "events": "events.jsonl",
-    "metrics": "metrics.json",
-    "memory": "memory.json",
-    "attribution": "attribution.json",
-    "profile": "profile.json",
-    "machine": "machine.json",
-    "health": "health.json",
-}
-
 _MISSING = object()
+
+
+def load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def dump_json(trace_dir: str, filename: str, doc) -> str:
+    """Write ``doc`` as indented JSON into ``trace_dir``; returns the path."""
+    os.makedirs(trace_dir, exist_ok=True)
+    path = os.path.join(trace_dir, filename)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One trace-directory file and what each tool does with it.
+
+    ``write(trace_dir, session)`` returns ``(paths, console note)`` or
+    None; ``report(arts, args)`` the ``repro report`` text or None;
+    ``replay(doc, arts)`` the counts it restored from the loaded ``doc``
+    (None: nothing to replay).
+    """
+
+    name: str
+    filename: str
+    load: Callable = load_json
+    #: required ``schema`` tag of the parsed document (None: unchecked).
+    schema: str | None = None
+    write: Callable | None = None
+    report: Callable | None = None
+    replay: Callable | None = None
+
+
+_REGISTRY: tuple[Artifact, ...] | None = None
+
+
+def registry() -> tuple[Artifact, ...]:
+    """Every trace artifact, spans first, in ``repro report`` order."""
+    global _REGISTRY
+    if _REGISTRY is None:
+        # Built on first use: the roofline and dashboard modules reach
+        # into the model and core packages, which import this package.
+        from . import (attribution, dashboard, events, export, health,
+                       memory, profiler, roofline)
+
+        # The package re-exports a ``metrics()`` function under the same
+        # name, so the module comes from the import system directly.
+        metrics = importlib.import_module(".metrics", __package__)
+
+        def entry(name, filename, module, load=load_json, schema=None):
+            # A subsystem module supplies its hooks by name; each is
+            # optional (memory.json has no report section or replay).
+            return Artifact(name, filename, load, schema,
+                            getattr(module, "write_artifact", None),
+                            getattr(module, "report_section", None),
+                            getattr(module, "replay", None))
+
+        _REGISTRY = (
+            entry("spans", "trace.jsonl", export, export.read_jsonl),
+            entry("events", "events.jsonl", events, events.read_events),
+            entry("metrics", "metrics.json", metrics),
+            entry("memory", "memory.json", memory, dashboard.load_memory_json),
+            entry("attribution", "attribution.json", attribution,
+                  schema=attribution.ATTRIBUTION_SCHEMA),
+            entry("machine", "machine.json", roofline),
+            entry("profile", "profile.json", profiler,
+                  schema=profiler.PROFILE_SCHEMA),
+            entry("health", "health.json", health,
+                  schema=health.HEALTH_SCHEMA),
+        )
+    return _REGISTRY
 
 
 class TraceArtifacts:
     """Lazy, warn-don't-raise view over one trace directory.
 
-    Every accessor returns the parsed artifact or ``None`` — missing
-    files silently (a pre-profiler trace dir is a valid trace dir),
+    ``load(name)`` — or the ``name()`` shorthand, e.g. ``arts.health()``
+    — returns the parsed artifact or ``None``: missing files silently,
     malformed files with a logged warning and an entry in
     :attr:`skipped` so callers can surface what was dropped.
     """
 
-    def __init__(self, trace_dir: str):
+    def __init__(self, trace_dir: str, files: dict[str, str] | None = None):
         self.trace_dir = trace_dir
         #: (filename, reason) for every artifact skipped as malformed.
         self.skipped: list[tuple[str, str]] = []
         self._cache: dict[str, object] = {}
+        self._files = {art.name: art.filename for art in registry()}
+        self._files.update(files or {})
 
-    # -- plumbing ------------------------------------------------------
+    @classmethod
+    def at(cls, path: str) -> "TraceArtifacts":
+        """A trace directory, or a span file inside one (read in place
+        of the registry's ``trace.jsonl``)."""
+        if os.path.isdir(path):
+            return cls(path)
+        primary = registry()[0].name
+        return cls(os.path.dirname(path) or ".",
+                   {primary: os.path.basename(path)})
+
     def path(self, name: str) -> str:
-        return os.path.join(self.trace_dir, FILENAMES[name])
+        return os.path.join(self.trace_dir, self._files[name])
 
     def exists(self, name: str) -> bool:
         return os.path.exists(self.path(name))
@@ -62,98 +139,49 @@ class TraceArtifacts:
     @property
     def is_empty(self) -> bool:
         """True when none of the known artifacts exist."""
-        return not any(self.exists(name) for name in FILENAMES)
+        return not any(self.exists(name) for name in self._files)
 
-    def _skip(self, name: str, exc: Exception):
-        self.skipped.append((FILENAMES[name], str(exc)))
-        _log.warning("skipping malformed %s in %s: %s",
-                     FILENAMES[name], self.trace_dir, exc)
-        return None
-
-    def _load(self, name: str, loader):
+    def load(self, name: str):
+        """The parsed artifact ``name`` (None when missing or malformed)."""
         value = self._cache.get(name, _MISSING)
-        if value is _MISSING:
-            if not self.exists(name):
+        if value is not _MISSING:
+            return value
+        art = next(a for a in registry() if a.name == name)
+        value = None
+        if self.exists(name):
+            try:
+                value = art.load(self.path(name))
+                if art.schema is not None:
+                    schema = (value.get("schema")
+                              if isinstance(value, dict) else None)
+                    if schema != art.schema:
+                        raise ValueError(
+                            f"schema {schema!r} != {art.schema!r}")
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                self.skipped.append((self._files[name], str(exc)))
+                _log.warning("skipping malformed %s in %s: %s",
+                             self._files[name], self.trace_dir, exc)
                 value = None
-            else:
-                try:
-                    value = loader(self.path(name))
-                except (OSError, ValueError, KeyError, TypeError) as exc:
-                    value = self._skip(name, exc)
-            self._cache[name] = value
+        self._cache[name] = value
         return value
 
-    @staticmethod
-    def _load_json(path: str):
-        with open(path) as fh:
-            return json.load(fh)
+    def __getattr__(self, name: str):
+        if name.startswith("_") or name not in self._files:
+            raise AttributeError(name)
+        return lambda: self.load(name)
 
-    # -- accessors -----------------------------------------------------
-    def spans(self):
-        """``trace.jsonl`` as :class:`~repro.obs.trace.SpanRecord` list."""
-        from .export import read_jsonl
 
-        return self._load("spans", read_jsonl)
+def write_trace_dir(trace_dir: str, session) -> tuple[list[str], list[str]]:
+    """Write every artifact a finished :class:`~repro.obs.seam.Session`
+    produced; returns (written paths as listed, console notes)."""
+    os.makedirs(trace_dir, exist_ok=True)
+    labels: list[str] = []
+    notes: list[str] = []
+    for art in registry():
+        out = art.write(trace_dir, session) if art.write else None
+        if out is not None:
+            labels.extend(out[0])
+            if out[1]:
+                notes.append(out[1])
+    return labels, notes
 
-    def events(self) -> list[dict] | None:
-        """``events.jsonl`` as raw event dicts."""
-        from .events import read_events
-
-        return self._load("events", read_events)
-
-    def metrics(self) -> dict | None:
-        """The full ``metrics.json`` document (build + metrics snapshot)."""
-        return self._load("metrics", self._load_json)
-
-    def memory_readings(self) -> list[dict] | None:
-        """The readings list from ``memory.json``."""
-        from .dashboard import load_memory_json
-
-        return self._load("memory", load_memory_json)
-
-    def attribution(self) -> dict | None:
-        """The ``repro-attr/v1`` document, if the run recorded one."""
-        return self._load("attribution", self._load_json)
-
-    def profile(self) -> dict | None:
-        """The ``repro-profile/v1`` document, if the run was profiled.
-
-        A present-but-invalid profile (wrong schema tag) is treated as
-        malformed: skipped with a warning, like any other parse failure.
-        """
-        doc = self._load("profile", self._load_json)
-        if doc is not None:
-            from .profiler import PROFILE_SCHEMA
-
-            schema = doc.get("schema") if isinstance(doc, dict) else None
-            if schema != PROFILE_SCHEMA:
-                self._cache["profile"] = None
-                return self._skip(
-                    "profile",
-                    ValueError(f"schema {schema!r} != {PROFILE_SCHEMA!r}"),
-                )
-        return doc
-
-    def machine(self) -> dict | None:
-        """The ``repro-machine/v1`` calibration snapshot."""
-        return self._load("machine", self._load_json)
-
-    def health(self) -> dict | None:
-        """The ``repro-health/v1`` document, if the run recorded one.
-
-        Pre-health trace dirs simply lack the file (``None``); a
-        present-but-wrong schema tag is treated as malformed and skipped
-        with a warning, like any other parse failure.
-        """
-        doc = self._load("health", self._load_json)
-        if doc is not None:
-            from .health import HEALTH_SCHEMA
-
-            schema = doc.get("schema") if isinstance(doc, dict) else None
-            if schema != HEALTH_SCHEMA:
-                self._cache["health"] = None
-                return self._skip(
-                    "health",
-                    ValueError(f"schema {schema!r} != {HEALTH_SCHEMA!r}"),
-                )
-        return doc

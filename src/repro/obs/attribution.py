@@ -5,7 +5,7 @@ number per iteration against the cost model; when it fires, nothing says
 *which* tree node or mode diverged.  This module closes that gap: the
 engines report every node rebuild (flops/words from the shared
 :func:`repro.core.engine.contraction_work` convention, plus wall seconds)
-and every MTTKRP scatter to a process-global :class:`AttributionRecorder`,
+and every MTTKRP scatter to an :class:`AttributionRecorder`,
 which aggregates them into per-tree-node and per-mode totals inside
 per-ALS-iteration windows — aligned node-for-node with the model's
 :func:`repro.model.cost.node_cost_terms` prediction when a strategy is
@@ -17,22 +17,18 @@ counter totals and, on any backend, each node's measured/predicted flop
 ratio is exactly 1.0 while the symbolic tree matches what the engine
 executes — deviations localize a real bug or a stale model to one node.
 
-Like the rest of the observability stack, attribution is **off by
-default** and no-op-cheap when off: engines guard every hook with one
-module-bool check (:func:`enabled`).  Enable with :func:`enable` /
-:func:`recording`, or ``REPRO_ATTRIBUTION=1`` (``repro trace`` and
-``repro explain --measure`` turn it on for you).
+Attribution is off by default (:data:`SWITCH`: ``REPRO_ATTRIBUTION``;
+``repro trace`` and ``repro explain --measure`` turn it on).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .metrics import registry as _metrics
+from .switch import RunPlugin, Switch, env_flag
 
 __all__ = [
     "ATTRIBUTION_SCHEMA", "AttributionReading", "AttributionRecorder",
@@ -140,7 +136,7 @@ class AttributionReading:
 
 
 class AttributionRecorder:
-    """Process-global aggregator of engine-reported rebuild/scatter events.
+    """Aggregator of engine-reported rebuild/scatter events.
 
     Engines call :meth:`begin_mode` / :meth:`on_rebuild` / :meth:`end_mode`
     (guarded by :func:`enabled`); drivers call :meth:`register` once per
@@ -480,52 +476,78 @@ def format_attribution(doc: dict) -> str:
     return "\n\n".join(parts)
 
 
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
 _recorder = AttributionRecorder()
-_enabled: bool = _truthy(os.environ.get("REPRO_ATTRIBUTION"))
+#: the attribution recorder's switch: ``REPRO_ATTRIBUTION``, pinned by
+#: ``RunContext.attr_enabled`` (scoped runs keep a private recorder).
+SWITCH = Switch("attribution", _recorder, pin="attr_enabled",
+                slot="attribution", on=env_flag("REPRO_ATTRIBUTION"),
+                clear=_recorder.reset)
+enabled, enable, disable = SWITCH.enabled, SWITCH.enable, SWITCH.disable
+get_recorder = SWITCH.get
 
 
-def enabled() -> bool:
-    """Whether attribution is on (the engines' call-site guard)."""
-    return _enabled
+#: ``with recording() as rec: ...`` records a block, then restores.
+recording = SWITCH.block
 
 
-def enable(*, clear: bool = False) -> None:
-    """Turn attribution on; ``clear=True`` resets accumulated state."""
-    global _enabled
-    if clear:
-        _recorder.reset()
-    _enabled = True
+class AttributionPlugin(RunPlugin):
+    """Per-iteration :class:`AttributionReading` windows for one run,
+    aligned with the model's prediction for the run's strategy."""
+
+    name = "attribution"
+    result_field = "attribution_readings"
+
+    @classmethod
+    def attach(cls, run):
+        recorder = SWITCH.active()
+        if recorder is None or not run.memoized:
+            return None
+        recorder.register(run.engine.strategy,
+                          run.engine.symbolic.node_nnz(), run.rank)
+        return cls(recorder)
+
+    def begin(self, iteration: int) -> None:
+        self.instrument.begin_window()
+
+    def end(self, it) -> AttributionReading:
+        return self.instrument.observe_iteration(it.iteration)
 
 
-def disable() -> None:
-    """Turn attribution off (accumulated state is kept until reset)."""
-    global _enabled
-    _enabled = False
+def write_artifact(trace_dir: str, session):
+    """``repro trace``: the recorder's ``repro-attr/v1`` document."""
+    from .artifacts import dump_json
+
+    recorder = get_recorder()
+    if not recorder.has_data:
+        return None
+    path = dump_json(trace_dir, "attribution.json", recorder.snapshot())
+    return [path], None
 
 
-def get_recorder() -> AttributionRecorder:
-    """The process-global recorder the engines feed."""
-    return _recorder
+def report_section(arts, args) -> str | None:
+    """``repro report``: the recorded attribution, else the time
+    attribution the spans alone support (per-node / per-mode seconds)."""
+    doc = arts.load("attribution")
+    header = f"\ncost attribution from {arts.path('attribution')}:\n"
+    if doc is None:
+        spans = arts.load("spans")
+        doc = attribution_from_spans(spans) if spans is not None else None
+        header = "\n"
+    rendered = format_attribution(doc) if doc is not None else ""
+    return header + rendered if rendered else None
 
 
-@contextmanager
-def recording(*, clear: bool = True):
-    """Enable attribution for a block, restoring prior state after.
-
-    Usage::
-
-        with attribution.recording() as rec:
-            result = cp_als(X, rank=16, strategy="bdt")
-        print(rec.snapshot()["nodes"])
-    """
-    was = _enabled
-    enable(clear=clear)
-    try:
-        yield _recorder
-    finally:
-        if not was:
-            disable()
+def replay(doc, arts) -> dict:
+    """``repro serve``: the ``attr.*`` prediction-error gauges."""
+    gauges = 0
+    for row in doc.get("modes", []):
+        if row.get("flops_ratio") is not None:
+            _metrics.set_gauge(f"attr.mode{row['mode']}.flops_ratio",
+                               row["flops_ratio"])
+            gauges += 1
+    errors = [abs(row["flops_ratio"] - 1.0) for row in doc.get("nodes", [])
+              if row.get("flops_ratio") is not None]
+    if errors:
+        _metrics.set_gauge("attr.max_node_flops_err", max(errors))
+        gauges += 1
+    return {"gauges": gauges}

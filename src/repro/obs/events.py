@@ -15,12 +15,8 @@ rebuilds, warnings — into a process-global :class:`EventLog`:
   ``repro tail --follow <events.jsonl>`` and log shippers see events as
   they happen, not at exit.
 
-Like the tracer, events are **off by default** and no-op-cheap when off:
-hot call sites guard on :func:`enabled` (one module-bool check).  Enable
-with :func:`enable`, the :func:`logging_events` context manager, or the
-``REPRO_EVENTS`` environment variable — ``REPRO_EVENTS=1`` turns on the
-ring buffer only, ``REPRO_EVENTS=/path/events.jsonl`` additionally opens
-that file as the sink.
+Events are off by default (:data:`SWITCH`: ``REPRO_EVENTS=1`` for the
+ring buffer, ``REPRO_EVENTS=/path/events.jsonl`` to add that sink).
 
 The log also folds ``run_start`` / ``iteration`` / ``run_stop`` events
 into a :class:`RunState` — current iteration, fit, trailing per-iteration
@@ -34,8 +30,9 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 
-from . import _ctx
+from .switch import RunPlugin, Switch, current_run, env_value
 
 __all__ = [
     "EVENTS_SCHEMA", "EVENT_KINDS", "EventLog", "RunState",
@@ -271,61 +268,21 @@ class EventLog:
             return len(self._ring)
 
 
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def _init_from_env() -> tuple[bool, str | None]:
-    raw = (os.environ.get("REPRO_EVENTS") or "").strip()
-    if not raw or raw.lower() in {"0", "false", "no", "off"}:
-        return False, None
-    if _truthy(raw):
-        return True, None
-    # Any other value is a sink path: REPRO_EVENTS=out/events.jsonl.
-    return True, raw
-
-
-_on, _sink_path = _init_from_env()
+_on, _sink_path = env_value("REPRO_EVENTS")
 _log = EventLog(sink_path=_sink_path)
-_enabled: bool = _on
+#: the event log's switch: ``REPRO_EVENTS=1`` turns on the ring buffer,
+#: ``REPRO_EVENTS=<path>`` also opens that file as the sink.
+SWITCH = Switch("events", _log, pin="events_enabled", slot="events",
+                on=_on, clear=_log.clear)
 del _on, _sink_path
-
-
-def enabled() -> bool:
-    """Whether event logging is on (the call-site guard).
-
-    A run context with an explicit ``events_enabled`` overrides the
-    module global, so concurrent runs control their own logging.
-    """
-    ctx = _ctx.current()
-    if ctx is not None and ctx.events_enabled is not None:
-        return ctx.events_enabled
-    return _enabled
+enabled, disable, get_log = SWITCH.enabled, SWITCH.disable, SWITCH.get
 
 
 def enable(*, clear: bool = False, sink_path: str | None = None) -> None:
     """Turn event logging on; optionally reset state / open a file sink."""
-    global _enabled
-    if clear:
-        _log.clear()
     if sink_path is not None:
         _log.open_sink(sink_path)
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn event logging off (buffered events are kept until clear)."""
-    global _enabled
-    _enabled = False
-
-
-def get_log() -> EventLog:
-    """The active event log: the run context's when one carries its own,
-    else the process-global log."""
-    ctx = _ctx.current()
-    if ctx is not None and ctx.events is not None:
-        return ctx.events
-    return _log
+    SWITCH.enable(clear=clear)
 
 
 def emit(kind: str, **fields) -> dict | None:
@@ -335,38 +292,50 @@ def emit(kind: str, **fields) -> dict | None:
     stamped with the context's ``run_id``, so interleaved runs stay
     separable in a shared sink and on ``/runz``.
     """
-    ctx = _ctx.current()
-    if ctx is None:
-        if not _enabled:
-            return None
-        return _log.emit(kind, **fields)
-    on = ctx.events_enabled if ctx.events_enabled is not None else _enabled
-    if not on:
+    if not SWITCH.enabled():
         return None
-    log = ctx.events if ctx.events is not None else _log
-    if ctx.run_id is not None:
+    ctx = current_run()
+    if ctx is not None and ctx.run_id is not None:
         fields.setdefault("run_id", ctx.run_id)
-    return log.emit(kind, **fields)
+    return SWITCH.get().emit(kind, **fields)
 
 
-class logging_events:
-    """Context manager enabling events for a block, restoring state after."""
-
-    def __init__(self, *, clear: bool = True, sink_path: str | None = None):
-        self._clear = clear
-        self._sink_path = sink_path
-
-    def __enter__(self) -> EventLog:
-        self._was = _enabled
-        enable(clear=self._clear, sink_path=self._sink_path)
-        return _log
-
-    def __exit__(self, *exc) -> bool:
-        if not self._was:
-            disable()
-        if self._sink_path is not None:
+@contextmanager
+def logging_events(*, clear: bool = True, sink_path: str | None = None):
+    """Enable events for a block (with an optional file sink), restoring
+    the prior state after; yields the global log."""
+    if sink_path is not None:
+        _log.open_sink(sink_path)
+    try:
+        with SWITCH.block(clear=clear) as log:
+            yield log
+    finally:
+        if sink_path is not None:
             _log.close_sink()
-        return False
+
+
+class EventsPlugin(RunPlugin):
+    """Streams a run as ``run_start`` / ``iteration`` / ``run_stop``
+    events; the iteration event carries every plug-in's fields, so the
+    run observer calls this plug-in last."""
+
+    name = "events"
+    tracks_site = True
+
+    @classmethod
+    def attach(cls, run):
+        return cls() if SWITCH.enabled() else None
+
+    def start(self, run) -> None:
+        emit("run_start", shape=list(run.tensor.shape), nnz=run.tensor.nnz,
+             rank=run.rank, strategy=run.strategy_name,
+             n_iter_max=run.n_iter_max, tol=run.tol)
+
+    def end(self, it):
+        emit("iteration", **it.fields)
+
+    def stop(self, **summary) -> None:
+        emit("run_stop", **summary)
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +409,24 @@ def format_event(event: dict) -> str:
         else:
             parts.append(f"{key}={value}")
     return f"{stamp} {kind:<13s} {' '.join(parts)}"
+
+
+def write_artifact(trace_dir: str, session):
+    """``repro trace``: the buffered events as ``events.jsonl``."""
+    path = os.path.join(trace_dir, "events.jsonl")
+    get_log().write_jsonl(path)
+    return [path], None
+
+
+def report_section(arts, args) -> str | None:
+    """``repro report``: the last five events."""
+    events = arts.load("events")
+    if events is None:
+        return None
+    return (f"\n{len(events)} events from {arts.path('events')} (last 5):"
+            + "".join("\n  " + format_event(e) for e in events[-5:]))
+
+
+def replay(events, arts) -> dict:
+    """``repro serve``: feed the events back into the log (``/runz``)."""
+    return {"events": get_log().replay(events)}

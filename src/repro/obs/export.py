@@ -296,3 +296,58 @@ def kind_table(spans: Iterable[SpanRecord] | None = None) -> str:
             f"{max(durs) * 1e3:>9.3f}"
         )
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# the span artifact (trace.jsonl + trace.chrome.json + trace_summary.txt)
+# ---------------------------------------------------------------------------
+
+def write_artifact(trace_dir: str, session):
+    """``repro trace``: the span log, its Chrome rendering and summary."""
+    from .memory import get_tracker
+
+    spans = get_tracer().finished()
+    chrome = os.path.join(trace_dir, "trace.chrome.json")
+    jsonl = os.path.join(trace_dir, "trace.jsonl")
+    summary = os.path.join(trace_dir, "trace_summary.txt")
+    write_chrome_trace(chrome, spans, mem_samples=get_tracker().samples)
+    write_jsonl(jsonl, spans)
+    table = kind_table(spans)
+    with open(summary, "w") as fh:
+        fh.write(tree_summary(spans) + "\n\n" + table + "\n")
+    note = (f"\n-- traced {len(spans)} spans in {session.elapsed:.2f}s "
+            f"({session.run_id})\n{table}")
+    return [f"{chrome} (open in chrome://tracing or "
+            "https://ui.perfetto.dev)", jsonl, summary], note
+
+
+def report_section(arts, args) -> str | None:
+    """``repro report``: span kinds, the span tree and pool utilization."""
+    from .utilization import format_utilization, utilization_from_spans
+
+    spans = arts.load("spans")
+    if spans is None:
+        return None
+    text = (f"{len(spans)} spans from {arts.path('spans')}\n\n"
+            f"{kind_table(spans)}\n\n"
+            f"{tree_summary(spans, max_children=args.max_children)}")
+    util = utilization_from_spans(spans)
+    if util is not None:
+        text += "\n\n" + format_utilization(util)
+    return text
+
+
+def replay(spans, arts) -> dict:
+    """``repro serve``: span histograms plus the pool utilization gauges."""
+    from .metrics import registry
+    from .utilization import utilization_from_spans
+
+    for rec in spans:
+        if rec.t1 is not None:
+            registry.observe_span(rec.kind, rec.duration)
+    util = utilization_from_spans(spans)
+    if util is not None:
+        registry.set_gauge("pool.imbalance", util.mean_imbalance)
+        registry.set_gauge("pool.busy_seconds", util.busy_seconds)
+        registry.set_gauge("pool.n_workers", len(util.workers))
+    return {"spans": len(spans)}

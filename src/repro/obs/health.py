@@ -26,14 +26,11 @@ with four cheap per-iteration readings:
   convergence-rate estimate (the decay ratio of successive fit
   increments).
 
-Like the other instruments, collection is **off by default** and
-no-op-cheap when off (one :func:`enabled` check at the call site), is
-run-context aware (``RunContext.scoped(health=True)`` gives a run its own
-private collector), and is **bitwise-neutral**: every reading is computed
+Collection is off by default (:data:`SWITCH`: ``REPRO_TRACE`` or
+``REPRO_HEALTH``) and **bitwise-neutral**: every reading is computed
 from freshly derived arrays, never by mutating or reordering the numeric
 path, so factor outputs are bit-identical with telemetry on or off (a
-tested invariant).  Enable with :func:`enable`, the :func:`collecting`
-context manager, ``REPRO_TRACE=1``, or ``REPRO_HEALTH=1``.
+tested invariant).
 
 Readings land on :attr:`repro.core.cpals.CPResult.health_readings`,
 stream as extended ``repro-events/v1`` iteration fields, persist as a
@@ -46,18 +43,15 @@ versioned ``repro-health/v1`` artifact (``health.json``,
 from __future__ import annotations
 
 import contextvars
-import json
 import math
-import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..linalg.solve import PINV_RCOND
-from . import _ctx
 from .metrics import registry as _metrics
+from .switch import RunPlugin, Switch, env_flag
 
 __all__ = [
     "HEALTH_SCHEMA", "TRAJECTORY_CODES",
@@ -576,16 +570,14 @@ class HealthCollector:
 # module switch + solver site attribution
 # ---------------------------------------------------------------------------
 
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
 _collector = HealthCollector()
-# REPRO_TRACE turns on the whole observability stack; REPRO_HEALTH can
-# enable just the numerical-health side.
-_enabled: bool = _truthy(os.environ.get("REPRO_TRACE")) or _truthy(
-    os.environ.get("REPRO_HEALTH")
-)
+#: the health collector's switch.  REPRO_TRACE turns on the whole stack;
+#: REPRO_HEALTH enables just the numerical-health side.
+SWITCH = Switch("health", _collector, pin="health_enabled", slot="health",
+                on=env_flag("REPRO_TRACE", "REPRO_HEALTH"),
+                clear=_collector.reset)
+enabled, enable, disable = SWITCH.enabled, SWITCH.enable, SWITCH.disable
+get_collector = SWITCH.get
 
 #: the in-flight (iteration, mode) a normal-equation solve belongs to —
 #: set by the cp_als loop so the solver's fallback telemetry can name its
@@ -594,58 +586,50 @@ _site: contextvars.ContextVar[tuple[int | None, int | None]] = \
     contextvars.ContextVar("repro_health_site", default=(None, None))
 
 
-def enabled() -> bool:
-    """Whether health collection is on (the cp_als call-site guard).
-
-    A run context with an explicit ``health_enabled`` overrides the
-    module global, mirroring the tracer/memory/event guards.
-    """
-    ctx = _ctx.current()
-    if ctx is not None and ctx.health_enabled is not None:
-        return ctx.health_enabled
-    return _enabled
+#: ``with collecting() as hc: ...`` collects for a block, then restores.
+collecting = SWITCH.block
 
 
-def enable(*, clear: bool = False) -> None:
-    """Turn health collection on; ``clear=True`` resets accumulated state."""
-    global _enabled
-    if clear:
-        _collector.reset()
-    _enabled = True
+class HealthPlugin(RunPlugin):
+    """Numerical-health readings for one cp_als run, one per iteration."""
 
+    name = "health"
+    result_field = "health_readings"
+    tracks_site = True
 
-def disable() -> None:
-    """Turn health collection off (readings are kept until reset)."""
-    global _enabled
-    _enabled = False
+    @classmethod
+    def attach(cls, run):
+        collector = SWITCH.active()
+        if collector is None:
+            return None
+        collector.start_run(n_modes=run.tensor.ndim, rank=run.rank)
+        return cls(collector)
 
+    def begin(self, iteration: int) -> None:
+        self.instrument.begin_iteration(iteration)
 
-def get_collector() -> HealthCollector:
-    """The active collector: the run context's when one carries its own,
-    else the process-global collector."""
-    ctx = _ctx.current()
-    if ctx is not None and ctx.health is not None:
-        return ctx.health
-    return _collector
+    def solved(self, mode, H, U_prev, U_new) -> None:
+        # Read-only: conditioning of the Gram just solved and the
+        # relative change against the outgoing factor.
+        self.instrument.observe_mode(mode, H, U_prev, U_new)
 
+    def end(self, it) -> HealthReading:
+        return self.instrument.observe_iteration(it.iteration, grams=it.grams,
+                                                 fit=it.fit)
 
-@contextmanager
-def collecting(*, clear: bool = True):
-    """Enable health collection for a block, restoring prior state after.
-
-    Usage::
-
-        with health.collecting() as hc:
-            cp_als(X, rank=16, strategy="bdt")
-        print(hc.readings[-1].trajectory)
-    """
-    was = _enabled
-    enable(clear=clear)
-    try:
-        yield _collector
-    finally:
-        if not was:
-            disable()
+    def fields(self, reading: HealthReading) -> dict:
+        fields: dict = {}
+        if math.isfinite(reading.max_condition_number):
+            fields["health_max_condition"] = reading.max_condition_number
+        if math.isfinite(reading.max_factor_delta):
+            fields["health_max_factor_delta"] = reading.max_factor_delta
+        fields["health_congruence"] = reading.congruence
+        fields["health_trajectory"] = reading.trajectory
+        if reading.n_truncated:
+            fields["health_truncated_eigenvalues"] = reading.n_truncated
+        if reading.pinv_fallbacks:
+            fields["health_pinv_fallbacks"] = reading.pinv_fallbacks
+        return fields
 
 
 def set_site(iteration: int | None, mode: int | None) -> None:
@@ -665,12 +649,11 @@ def current_site() -> tuple[int | None, int | None]:
 def record_fallback(n_truncated: int) -> None:
     """Solver hook: count a Cholesky→pinv fallback on the active collector,
     attributed to the in-flight solve site (no-op when collection is off)."""
-    if not enabled():
+    collector = SWITCH.active()
+    if collector is None:
         return
     iteration, mode = _site.get()
-    get_collector().record_fallback(
-        n_truncated, mode=mode, iteration=iteration
-    )
+    collector.record_fallback(n_truncated, mode=mode, iteration=iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -822,12 +805,9 @@ def write_health(trace_dir: str, readings=None, *,
         raise ValueError(
             f"refusing to write invalid health artifact: {problems[0]}"
         )
-    os.makedirs(trace_dir, exist_ok=True)
-    path = os.path.join(trace_dir, "health.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return path
+    from .artifacts import dump_json
+
+    return dump_json(trace_dir, "health.json", doc)
 
 
 def format_health(doc: dict, *, max_rows: int = 12) -> str:
@@ -871,3 +851,64 @@ def format_health(doc: dict, *, max_rows: int = 12) -> str:
         f"{doc.get('final_trajectory') or 'n/a'}"
     )
     return head + table + "\n" + summary
+
+
+
+# ---------------------------------------------------------------------------
+# trace-directory artifact hooks
+# ---------------------------------------------------------------------------
+
+def write_artifact(trace_dir: str, session):
+    """``repro trace``: ``health.json`` when the run recorded readings."""
+    collector = get_collector()
+    if not collector.has_data:
+        return None
+    path = write_health(trace_dir, run_id=session.run_id)
+    last = collector.readings[-1]
+    max_cond = last.max_condition_number
+    note = (f"\nhealth: {len(collector.readings)} iteration readings, "
+            f"final trajectory {last.trajectory!r}, max κ(H) "
+            + (f"{max_cond:.3e}" if math.isfinite(max_cond) else "singular")
+            + f", congruence {last.congruence:.4f}, "
+            f"{collector.total_pinv_fallbacks} pinv fallbacks")
+    return [path], note
+
+
+def report_section(arts, args) -> str:
+    """``repro report``: the health summary; pre-health trace dirs
+    degrade to an explicit note rather than an error."""
+    doc = arts.load("health")
+    if doc is None:
+        return ("\nno numerical-health readings (pre-health trace dir; "
+                "re-run 'repro trace <cmd>' or set REPRO_HEALTH=1 to "
+                "record them)")
+    return f"\nnumerical health from {arts.path('health')}:\n" + \
+        format_health(doc)
+
+
+def replay(doc, arts) -> dict:
+    """``repro serve``: the final iteration's conditioning / congruence
+    state plus run totals, as the ``health.*`` gauges a live run sets."""
+    gauges = {}
+    readings = doc.get("readings", [])
+    if readings:
+        last = readings[-1]
+        conds = [c for c in last.get("condition_numbers", [])
+                 if c is not None]
+        if conds:
+            gauges["health.max_condition_number"] = max(conds)
+        deltas = [d for d in last.get("factor_deltas", []) if d is not None]
+        if deltas:
+            gauges["health.max_factor_delta"] = max(deltas)
+        if last.get("congruence") is not None:
+            gauges["health.congruence"] = float(last["congruence"])
+        code = TRAJECTORY_CODES.get(last.get("trajectory"))
+        if code is not None:
+            gauges["health.trajectory_code"] = code
+    gauges["health.total_pinv_fallbacks"] = int(
+        doc.get("total_pinv_fallbacks", 0))
+    gauges["health.total_truncated_eigenvalues"] = int(
+        doc.get("total_truncated_eigenvalues", 0))
+    for name, value in gauges.items():
+        _metrics.set_gauge(name, value)
+    return {"gauges": len(gauges)}

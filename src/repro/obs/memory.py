@@ -11,11 +11,8 @@ the model's symbolic prediction, and optional :mod:`tracemalloc` samples
 that capture what the allocator *actually* holds on top of the symbolic
 count.
 
-Like the tracer, tracking is **off by default** and must be no-op-cheap
-when off: engines guard every event with a single module-bool check
-(:func:`enabled`).  Enable with :func:`enable` / the :func:`tracking`
-context manager, or ``REPRO_TRACE=1`` (the tracer env var turns both on,
-so ``repro trace`` gets memory telemetry for free).
+Tracking is off by default (:data:`SWITCH`: ``REPRO_TRACE`` or
+``REPRO_MEMTRACK``).
 
 Byte accounting is *exact by construction*: a node value matrix is a dense
 ``nnz_t x R`` float64 array, so ``value.nbytes`` equals the model's
@@ -27,14 +24,14 @@ drift watchdog rather than an exact one.
 
 from __future__ import annotations
 
-import os
 import threading
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from . import _ctx
+from ..core.dtypes import VALUE_ITEMSIZE
 from .metrics import registry as _metrics
+from .switch import RunPlugin, Switch, env_flag
 
 __all__ = [
     "MemReading", "MemTracker", "enabled", "enable", "disable",
@@ -127,8 +124,14 @@ class MemTracker:
         self.readings: list[MemReading] = []
         self.samples: list[_Sample] = []
         self._keep_samples = int(keep_samples)
-        self.sample_tracemalloc = bool(sample_tracemalloc)
+        self.sample_tracemalloc = False
         self._own_tracemalloc = False
+        self.sample(sample_tracemalloc)
+
+    def sample(self, on: bool) -> None:
+        """Turn tracemalloc sampling on or off (starting tracemalloc if
+        it is not already tracing; :meth:`close` stops what this started)."""
+        self.sample_tracemalloc = bool(on)
         if self.sample_tracemalloc and not tracemalloc.is_tracing():
             tracemalloc.start()
             self._own_tracemalloc = True
@@ -190,7 +193,13 @@ class MemTracker:
 
     # -- iteration windows ---------------------------------------------
     def begin_window(self) -> None:
-        """Start a peak-measurement window (an ALS iteration)."""
+        """Start a peak-measurement window (an ALS iteration).
+
+        The tracemalloc peak restarts here too, so each window's traced
+        peak covers that window only, not every run since tracing began.
+        """
+        if self.sample_tracemalloc and tracemalloc.is_tracing():
+            tracemalloc.reset_peak()
         with self._lock:
             self._window_peak = self.live_bytes
 
@@ -274,57 +283,20 @@ class MemTracker:
         )
 
 
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
 _tracker = MemTracker()
-# REPRO_TRACE turns on the whole observability stack; REPRO_MEMTRACK can
-# enable just the memory side (e.g. for memory-only profiling runs).
-_enabled: bool = _truthy(os.environ.get("REPRO_TRACE")) or _truthy(
-    os.environ.get("REPRO_MEMTRACK")
-)
-
-
-def enabled() -> bool:
-    """Whether memory tracking is on (the engines' call-site guard).
-
-    A run context with an explicit ``mem_enabled`` overrides the module
-    global, mirroring the tracer/event guards.
-    """
-    ctx = _ctx.current()
-    if ctx is not None and ctx.mem_enabled is not None:
-        return ctx.mem_enabled
-    return _enabled
+#: the memory tracker's switch.  REPRO_TRACE turns on the whole stack;
+#: REPRO_MEMTRACK enables just the memory side.
+SWITCH = Switch("memory", _tracker, pin="mem_enabled", slot="memory",
+                on=env_flag("REPRO_TRACE", "REPRO_MEMTRACK"),
+                clear=_tracker.reset)
+enabled, disable, get_tracker = SWITCH.enabled, SWITCH.disable, SWITCH.get
 
 
 def enable(*, clear: bool = False, sample_tracemalloc: bool | None = None) -> None:
     """Turn memory tracking on; ``clear=True`` resets accumulated state."""
-    global _enabled
-    if clear:
-        _tracker.reset()
     if sample_tracemalloc is not None:
-        _tracker.sample_tracemalloc = bool(sample_tracemalloc)
-        if (_tracker.sample_tracemalloc
-                and not tracemalloc.is_tracing()):
-            tracemalloc.start()
-            _tracker._own_tracemalloc = True
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn memory tracking off (accumulated state is kept until reset)."""
-    global _enabled
-    _enabled = False
-
-
-def get_tracker() -> MemTracker:
-    """The active tracker: the run context's when one carries its own,
-    else the process-global tracker the engines feed."""
-    ctx = _ctx.current()
-    if ctx is not None and ctx.memory is not None:
-        return ctx.memory
-    return _tracker
+        _tracker.sample(sample_tracemalloc)
+    SWITCH.enable(clear=clear)
 
 
 @contextmanager
@@ -337,11 +309,70 @@ def tracking(*, clear: bool = True, sample_tracemalloc: bool = False):
             cp_als(X, rank=16, strategy="bdt")
         print(mt.peak_bytes, mt.readings)
     """
-    was = _enabled
-    enable(clear=clear, sample_tracemalloc=sample_tracemalloc or None)
+    if sample_tracemalloc:
+        _tracker.sample(True)
     try:
-        yield _tracker
+        with SWITCH.block(clear=clear) as tracker:
+            yield tracker
     finally:
-        if not was:
-            disable()
         _tracker.close()
+
+
+class MemoryPlugin(RunPlugin):
+    """Measured-vs-predicted peak memoized-value bytes per iteration."""
+
+    name = "memory"
+    result_field = "memory_readings"
+
+    def __init__(self, tracker: MemTracker, run):
+        super().__init__(tracker)
+        self.engine = engine = run.engine
+        node_nnz = engine.symbolic.node_nnz()
+        tracker.register_expected(
+            id(engine), [n * run.rank * VALUE_ITEMSIZE for n in node_nnz]
+        )
+        if run.cost is not None:
+            self.predicted = run.cost.peak_value_bytes
+        else:
+            from ..model.cost import simulate_peak_value_bytes
+
+            self.predicted = simulate_peak_value_bytes(
+                engine.strategy, node_nnz, run.rank
+            )
+
+    @classmethod
+    def attach(cls, run):
+        tracker = SWITCH.active()
+        if tracker is None or not run.memoized:
+            return None
+        return cls(tracker, run)
+
+    def begin(self, iteration: int) -> None:
+        self.instrument.begin_window()
+
+    def end(self, it) -> MemReading:
+        return self.instrument.observe_iteration(
+            it.iteration,
+            predicted_peak_bytes=self.predicted,
+            workspace_bytes=self.engine.workspace_nbytes(),
+            factor_bytes=self.engine.factor_bytes(),
+        )
+
+    def fields(self, reading: MemReading) -> dict:
+        return {"mem_peak_bytes": reading.measured_peak_bytes,
+                "mem_live_bytes": reading.live_bytes}
+
+
+def write_artifact(trace_dir: str, session):
+    """``repro trace``: the tracker snapshot as ``memory.json``."""
+    from .artifacts import dump_json
+
+    tracker = get_tracker()
+    path = dump_json(trace_dir, "memory.json", tracker.snapshot())
+    note = None
+    if tracker.readings:
+        last = tracker.readings[-1]
+        note = (f"\nmemory: peak memoized values {tracker.peak_bytes:,} B "
+                f"(predicted {last.predicted_peak_bytes:,} B, "
+                f"{len(tracker.readings)} iteration readings)")
+    return [path], note

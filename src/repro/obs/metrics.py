@@ -22,7 +22,7 @@ import math
 import threading
 
 from ..perf.counters import Counters
-from . import _ctx
+from .switch import current_run
 
 __all__ = ["SpanStats", "MetricsRegistry", "registry", "metrics"]
 
@@ -139,15 +139,10 @@ class MetricsRegistry:
 class _DispatchingRegistry:
     """Call-time dispatching facade over the metrics registry.
 
-    The module-level ``registry`` is imported *by value* all over the
-    stack (``from .metrics import registry as _metrics``), so run scoping
-    cannot simply rebind the name.  Instead the shared object resolves its
-    target on every call: the active :class:`repro.obs.runctx.RunContext`'s
-    registry when one with its own metrics is installed, the process-global
-    :class:`MetricsRegistry` otherwise.  With no run context active this is
-    one extra contextvar read per observation — cheap enough that the
-    tracing-off overhead budget (<2%) is unaffected, and the tracing-on
-    cost is dominated by the observation itself.
+    ``registry`` is imported by value all over the stack, so run scoping
+    cannot rebind the name; instead every attribute resolves on the
+    active run context's private registry when it has one, else on the
+    process-global :class:`MetricsRegistry`.
     """
 
     __slots__ = ("_global",)
@@ -155,39 +150,11 @@ class _DispatchingRegistry:
     def __init__(self):
         self._global = MetricsRegistry()
 
-    def _target(self) -> MetricsRegistry:
-        ctx = _ctx.current()
+    def __getattr__(self, name: str):
+        ctx = current_run()
         if ctx is not None and ctx.metrics is not None:
-            return ctx.metrics
-        return self._global
-
-    # -- feeds (forwarded) ---------------------------------------------
-    def observe_span(self, kind: str, seconds: float) -> None:
-        self._target().observe_span(kind, seconds)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self._target().set_gauge(name, value)
-
-    def set_max_gauge(self, name: str, value: float) -> None:
-        self._target().set_max_gauge(name, value)
-
-    def incr(self, name: str, value: int = 1) -> None:
-        self._target().incr(name, value)
-
-    # -- reads (forwarded) ---------------------------------------------
-    @property
-    def counters(self) -> Counters:
-        return self._target().counters
-
-    @property
-    def span_stats(self) -> dict[str, SpanStats]:
-        return self._target().span_stats
-
-    def snapshot(self) -> dict:
-        return self._target().snapshot()
-
-    def reset(self) -> None:
-        self._target().reset()
+            return getattr(ctx.metrics, name)
+        return getattr(self._global, name)
 
 
 #: the process-global registry (the tracer and watchdog feed this one);
@@ -199,3 +166,53 @@ registry = _DispatchingRegistry()
 def metrics() -> dict:
     """Snapshot of the active registry (counters, span stats, gauges)."""
     return registry.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# the metrics.json artifact
+# ---------------------------------------------------------------------------
+
+def write_artifact(trace_dir: str, session):
+    """``repro trace``: build info, wall time and the registry snapshot."""
+    from .artifacts import dump_json
+    from .buildinfo import build_info
+
+    doc = {"build": build_info(), "wall_seconds": session.elapsed,
+           "run_id": session.run_id, "metrics": registry.snapshot()}
+    return [dump_json(trace_dir, "metrics.json", doc)], None
+
+
+def report_section(arts, args) -> str | None:
+    """``repro report``: the recorded counters and gauges."""
+    doc = arts.load("metrics")
+    if doc is None:
+        return None
+    counters = doc.get("metrics", {}).get("counters", {})
+    gauges = doc.get("metrics", {}).get("gauges", {})
+    lines = []
+    if counters:
+        lines.append("\ncounters: " + ", ".join(
+            f"{k}={v:,}" for k, v in counters.items()))
+    if gauges:
+        lines.append("gauges  : " + ", ".join(
+            f"{k}={v:.3f}" for k, v in sorted(gauges.items())))
+    return "\n".join(lines) if lines else None
+
+
+def replay(doc, arts) -> dict:
+    """``repro serve``: restore gauges, counters and event counts."""
+    snap = doc.get("metrics", {})
+    loaded = {"gauges": 0, "counters": 0}
+    for name, value in snap.get("gauges", {}).items():
+        registry.set_gauge(name, value)
+        loaded["gauges"] += 1
+    for name, value in snap.get("events", {}).items():
+        registry.incr(name, int(value))
+    counters = registry.counters
+    for name, value in snap.get("counters", {}).items():
+        if hasattr(counters, name) and name != "extra":
+            setattr(counters, name, value)
+        else:
+            counters.extra[name] = value
+        loaded["counters"] += 1
+    return loaded

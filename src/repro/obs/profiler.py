@@ -12,12 +12,9 @@ contextvar machinery spans already use).  Every sample is therefore
 attributed to the run, the innermost open span, and the code — enough to
 render a flamegraph per span kind.
 
-Like every other instrument the profiler is **off by default** and
-no-op-cheap when off: the only always-on cost is one ``None`` check per
-span enter/exit in :mod:`repro.obs.trace`.  Enable with :func:`enable` /
-:func:`profiling`, ``REPRO_PROFILE=1`` before import, ``repro profile
-<cmd>``, or ``repro trace --profile``; ``REPRO_PROFILE_HZ`` overrides the
-default sampling rate.
+The profiler is off by default (:data:`SWITCH`: ``REPRO_PROFILE``, or
+``repro profile <cmd>``); when off, the only cost is one ``None`` check
+per span enter/exit.  ``REPRO_PROFILE_HZ`` overrides the sampling rate.
 
 Both execution tiers are covered:
 
@@ -51,16 +48,14 @@ the span.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
 
-from . import _ctx
 from . import trace as _trace
+from .switch import Switch, env_flag
 
 __all__ = [
     "PROFILE_SCHEMA", "DEFAULT_HZ", "ProfileStore", "default_hz",
@@ -83,10 +78,6 @@ DEFAULT_HZ = 97
 MAX_STACK_DEPTH = 64
 
 _log = logging.getLogger("repro.obs.profiler")
-
-
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
 
 
 def default_hz() -> float:
@@ -280,7 +271,9 @@ class _SpanObserver:
         self._stacks: dict[int, list] = {}
 
     def push(self, rec) -> None:
-        store = _resolve_store()
+        # The run context's store (None when it pinned profiling off),
+        # else the global store while enabled.
+        store = SWITCH.active()
         with self._lock:
             self._stacks.setdefault(rec.tid, []).append(
                 (rec.id, rec.kind, store)
@@ -312,21 +305,6 @@ class _SpanObserver:
     def clear(self) -> None:
         with self._lock:
             self._stacks.clear()
-
-
-def _resolve_store() -> ProfileStore | None:
-    """The store samples should land in for the *current* context.
-
-    A run context with a pinned ``profile_enabled`` wins (its private
-    store, or None when the run opted out); otherwise the module-global
-    store while :func:`enable`\\ d.
-    """
-    ctx = _ctx.current()
-    if ctx is not None:
-        pinned = getattr(ctx, "profile_enabled", None)
-        if pinned is not None:
-            return getattr(ctx, "profiler", None) if pinned else None
-    return _store if _enabled else None
 
 
 class _Sampler(threading.Thread):
@@ -379,8 +357,8 @@ def _sample_once(own_ident, weight: float) -> None:
             # module-global store.  Explicit None checks — an empty
             # ProfileStore is falsy (``__len__`` is the sample count).
             store = _bound.get(tid)
-            if store is None and _enabled:
-                store = _store
+            if store is None and SWITCH.on:
+                store = SWITCH.instance
             span_path = ()
         if store is None or _is_idle(frame):
             continue
@@ -398,10 +376,8 @@ def _sample_once(own_ident, weight: float) -> None:
 
 _lock = threading.RLock()
 _observer = _SpanObserver()
-_store: ProfileStore | None = None
 _sampler: _Sampler | None = None
 _retain_count = 0
-_enabled: bool = _truthy(os.environ.get("REPRO_PROFILE"))
 #: tid -> explicit lane label (worker pools register their threads here).
 _labels: dict[int, str] = {}
 #: tid -> store for samples taken *outside* any span on that thread
@@ -421,38 +397,18 @@ def _after_fork_in_child() -> None:
     child's own ``enable()`` / scoped-context retain rebuilds what it
     needs.
     """
-    global _lock, _observer, _sampler, _retain_count, _store
+    global _lock, _observer, _sampler, _retain_count
     _lock = threading.RLock()
     _observer = _SpanObserver()
     _sampler = None
     _retain_count = 0
-    _store = None
+    SWITCH.instance = None
     _labels.clear()
     _bound.clear()
     _trace.set_span_observer(None)
 
 
 os.register_at_fork(after_in_child=_after_fork_in_child)
-
-
-def enabled() -> bool:
-    """Whether profiling is on (run-context pin overrides the global)."""
-    ctx = _ctx.current()
-    if ctx is not None:
-        pinned = getattr(ctx, "profile_enabled", None)
-        if pinned is not None:
-            return pinned
-    return _enabled
-
-
-def get_store() -> ProfileStore | None:
-    """The active store: the run context's private one when installed,
-    else the module-global store (kept after :func:`disable` so finished
-    runs can still be exported)."""
-    ctx = _ctx.current()
-    if ctx is not None and getattr(ctx, "profiler", None) is not None:
-        return ctx.profiler
-    return _store
 
 
 def active_hz() -> float | None:
@@ -536,37 +492,43 @@ def release_sampler() -> None:
     global _retain_count
     with _lock:
         _retain_count = max(_retain_count - 1, 0)
-        if _retain_count == 0 and not _enabled:
+        if _retain_count == 0 and not SWITCH.on:
             _stop_locked()
+
+
+class _ProfilerSwitch(Switch):
+    """The profiler's switch: enabling also runs the sampler thread, and
+    the global store is created on first enable (``None`` before)."""
+
+    def enable(self, *, clear: bool = False, hz: float | None = None) -> None:
+        """Turn sampling on; ``clear=True`` starts a fresh store, else a
+        re-enable keeps accumulating into the existing one."""
+        with _lock:
+            if self.instance is None or clear:
+                self.instance = ProfileStore(hz=hz)
+            elif hz:
+                self.instance.hz = float(hz)
+            self.on = True
+            _start_locked(hz or self.instance.hz)
+
+    def disable(self) -> None:
+        """Stop sampling (unless scoped runs still hold the sampler);
+        collected samples are kept for export."""
+        with _lock:
+            self.on = False
+            if _retain_count == 0:
+                _stop_locked()
+
+
+SWITCH = _ProfilerSwitch("profiler", None, pin="profile_enabled",
+                         slot="profiler", on=env_flag("REPRO_PROFILE"))
+enabled, disable, get_store = SWITCH.enabled, SWITCH.disable, SWITCH.get
 
 
 def enable(hz: float | None = None, *, clear: bool = False) -> None:
-    """Turn sampling on (module-global store); idempotent.
-
-    ``clear=True`` drops previously collected samples; otherwise a
-    re-enable keeps accumulating into the existing store.
-    """
-    global _enabled, _store
-    with _lock:
-        if _store is None or clear:
-            _store = ProfileStore(hz=hz)
-        elif hz:
-            _store.hz = float(hz)
-        _enabled = True
-        _start_locked(hz or _store.hz)
+    SWITCH.enable(clear=clear, hz=hz)
 
 
-def disable() -> None:
-    """Stop sampling; collected samples are kept for export.  Idempotent
-    (and a no-op for scoped runs still holding the sampler)."""
-    global _enabled
-    with _lock:
-        _enabled = False
-        if _retain_count == 0:
-            _stop_locked()
-
-
-@contextmanager
 def profiling(hz: float | None = None, *, clear: bool = True):
     """Enable sampling for a block, restoring the previous state after::
 
@@ -574,13 +536,7 @@ def profiling(hz: float | None = None, *, clear: bool = True):
             engine.mttkrp(0)
         print(store.snapshot()["n_samples"])
     """
-    was = _enabled
-    enable(hz, clear=clear)
-    try:
-        yield _store
-    finally:
-        if not was:
-            disable()
+    return SWITCH.block(clear=clear, hz=hz)
 
 
 # -- artifact ---------------------------------------------------------------
@@ -706,12 +662,10 @@ def write_profile(trace_dir: str, snapshot: dict | None = None, *,
     if problems:
         raise ValueError(f"refusing to write invalid profile artifact: "
                          f"{problems[0]}")
-    os.makedirs(trace_dir, exist_ok=True)
-    json_path = os.path.join(trace_dir, "profile.json")
+    from .artifacts import dump_json
+
+    json_path = dump_json(trace_dir, "profile.json", doc)
     folded_path = os.path.join(trace_dir, "profile.folded")
-    with open(json_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
     with open(folded_path, "w") as fh:
         for line in folded_lines(doc):
             fh.write(line + "\n")
@@ -774,3 +728,52 @@ def format_hotspots(doc: dict, top: int = 10) -> str:
             f"{r['total_seconds']:>8.3f}  {r['self_samples']:>7d}"
         )
     return "\n".join(lines)
+
+
+# -- trace-directory artifact hooks -----------------------------------------
+
+def write_artifact(trace_dir: str, session):
+    """``repro trace``: ``profile.json`` + ``profile.folded`` when the
+    session profiled."""
+    if not session.profiled:
+        return None
+    snapshot = get_store().snapshot()
+    meta = dict(run_id=session.run_id, command=session.command,
+                duration_seconds=session.elapsed)
+    doc = profile_artifact(snapshot, **meta)
+    path, _folded = write_profile(trace_dir, snapshot, **meta)
+    note = (f"\nprofile: {doc['n_samples']} samples @ {doc['hz']:g} Hz "
+            f"({doc['sampled_seconds']:.2f}s sampled, lanes: "
+            f"{', '.join(doc['lanes']) or 'none'})")
+    hot = format_hotspots(doc, top=5)
+    if hot != "(no samples)":
+        note += "\n" + hot
+    return [f"{path} (+ profile.folded for flamegraph.pl/speedscope)"], note
+
+
+def report_section(arts, args) -> str:
+    """``repro report``: top hotspots; pre-profiler trace dirs degrade to
+    an explicit note, not an error."""
+    doc = arts.load("profile")
+    if doc is None:
+        return ("\nno profile captured (run 'repro profile <cmd>' or "
+                "'repro trace --profile' to record one)")
+    return (f"\nsampling profile: {doc.get('n_samples', 0)} samples @ "
+            f"{doc.get('hz', 0):g} Hz — top hotspots:\n"
+            + format_hotspots(doc))
+
+
+def replay(doc, arts) -> dict:
+    """``repro serve``: sample totals plus per-span-kind self seconds for
+    the hottest kinds."""
+    from .metrics import registry
+
+    registry.set_gauge("profile.n_samples", int(doc.get("n_samples", 0)))
+    registry.set_gauge("profile.hz", float(doc.get("hz", 0.0)))
+    registry.set_gauge("profile.sampled_seconds",
+                       float(doc.get("sampled_seconds", 0.0)))
+    rows = doc.get("spans", [])[:8]
+    for row in rows:
+        registry.set_gauge(f"profile.span.{row['kind']}.self_seconds",
+                           float(row.get("self_seconds", 0.0)))
+    return {"gauges": 3 + len(rows)}

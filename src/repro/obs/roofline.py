@@ -321,55 +321,41 @@ def roofline_report(
 
 
 def report_from_trace_dir(trace_dir: str, roofline=None,
-                          *, load: bool = True) -> RooflineReport:
+                          *, load: bool = True, arts=None) -> RooflineReport:
     """Post-hoc roofline attribution over a saved ``repro trace`` dir.
 
     Process-tier spans are priced from the ``run_start`` event's
     shape/rank; the attribution artifact (when the recorder ran)
     contributes its measured-counter config.  Old trace dirs missing
     either input simply yield fewer configs — with none at all the
-    report still renders the (possibly uncalibrated) ceilings.
+    report still renders the (possibly uncalibrated) ceilings.  ``arts``
+    reuses an open :class:`~repro.obs.artifacts.TraceArtifacts` view.
     """
-    import json
-    import os
+    from .artifacts import TraceArtifacts
 
-    from .export import read_jsonl
-
+    arts = arts or TraceArtifacts(trace_dir)
     notes = []
     if roofline is None:
         # Prefer the calibration the traced run itself snapshotted — a
         # trace copied off another host keeps that host's ceilings.
         from ..model.calibrate import load_roofline
 
-        roofline = load_roofline(os.path.join(trace_dir, "machine.json"))
-    spans = []
-    trace_path = os.path.join(trace_dir, "trace.jsonl")
-    if os.path.exists(trace_path):
-        spans = read_jsonl(trace_path)
-    else:
+        roofline = load_roofline(arts.path("machine"))
+    spans = arts.load("spans")
+    if spans is None:
+        spans = []
         notes.append(f"no trace.jsonl under {trace_dir}")
-    shape = rank = None
-    events_path = os.path.join(trace_dir, "events.jsonl")
-    if os.path.exists(events_path):
-        from .events import read_events
-
-        for event in read_events(events_path):
-            if event.get("kind") == "run_start":
-                shape = tuple(event.get("shape") or ()) or None
-                rank = event.get("rank")
-                break
+    start = next((e for e in arts.load("events") or []
+                  if e.get("kind") == "run_start"), {})
+    shape = tuple(start.get("shape") or ()) or None
     if shape is None:
         notes.append("no run_start event: process-tier spans not priced")
-    configs = throughput_from_spans(spans, shape=shape, rank=rank)
-    attr_path = os.path.join(trace_dir, "attribution.json")
-    if os.path.exists(attr_path):
-        try:
-            with open(attr_path) as fh:
-                attributed = throughput_from_attribution(json.load(fh))
-        except (OSError, ValueError):
-            attributed = None
-        if attributed is not None:
-            configs.append(attributed)
+    configs = throughput_from_spans(spans, shape=shape,
+                                    rank=start.get("rank"))
+    doc = arts.load("attribution")
+    attributed = throughput_from_attribution(doc) if doc else None
+    if attributed is not None:
+        configs.append(attributed)
     return roofline_report(configs, roofline, load=load, notes=notes)
 
 
@@ -415,3 +401,37 @@ def report_line(report: RooflineReport) -> str:
             f"{best.bandwidth_fraction * 100.0:.0f}% of the "
             f"{report.roofline.peak_bandwidth_gbs:.2f} GB/s ceiling "
             f"({best.gflops:.2f} GFLOP/s, {best.bound}-bound)")
+
+
+# ---------------------------------------------------------------------------
+# the machine.json artifact
+# ---------------------------------------------------------------------------
+
+def write_artifact(trace_dir: str, session):
+    """``repro trace``: snapshot the host calibration (load-only, never
+    measures) so the trace dir is self-contained for later attribution."""
+    from ..model.calibrate import load_roofline, machine_artifact
+    from .artifacts import dump_json
+
+    roofline = load_roofline()
+    if roofline is None:
+        return None
+    return [dump_json(trace_dir, "machine.json",
+                      machine_artifact(roofline))], None
+
+
+def report_section(arts, args) -> str:
+    """``repro report``: the one-line achieved-throughput summary; trace
+    dirs recorded before calibration existed report "uncalibrated"."""
+    return "\n" + report_line(report_from_trace_dir(arts.trace_dir,
+                                                     arts=arts))
+
+
+def replay(doc, arts) -> dict | None:
+    """``repro serve``: the recorded ceilings plus the achieved fractions
+    recomputed from the replayed spans, as ``roofline.*`` gauges."""
+    report = report_from_trace_dir(arts.trace_dir, load=False, arts=arts)
+    if not report.calibrated:
+        return None
+    publish_roofline_gauges(report.roofline, report.configs)
+    return {"gauges": 4 + len(report.roofline.bandwidth_points)}

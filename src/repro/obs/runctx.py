@@ -1,16 +1,10 @@
 """Run-scoped telemetry contexts and the registry of concurrent runs.
 
-Until PR 7 the observability stack hung off process-global singletons —
-one :class:`~repro.obs.trace.Tracer`, one
-:class:`~repro.obs.events.EventLog`, one
-:class:`~repro.obs.metrics.MetricsRegistry`, one
-:class:`~repro.obs.memory.MemTracker` — which is exactly one concurrent
-run short of the decomposition-as-a-service roadmap.  A
-:class:`RunContext` bundles a ``run_id`` with a full set of instruments
-and rides a :mod:`contextvars` variable (:mod:`repro.obs._ctx`) that the
-instrument modules consult on every guarded call, so the *call sites*
-(engines, pools, kernels) did not change at all — the globals became
-thin compatibility shims that defer to the active context.
+A :class:`RunContext` bundles a ``run_id`` with, optionally, a private
+instance of every instrument and a pinned on/off flag for each.  The
+active context rides a :mod:`contextvars` variable that every
+instrument's :class:`~repro.obs.switch.Switch` consults, so the call
+sites (engines, pools, kernels) never see which instruments they reach.
 
 Two flavors:
 
@@ -37,13 +31,14 @@ import time
 import uuid
 from contextlib import contextmanager
 
-from . import _ctx
+from . import attribution as _attr_mod
 from . import events as _events_mod
 from . import health as _health_mod
 from . import memory as _memory_mod
 from . import profiler as _profiler_mod
 from . import trace as _trace_mod
 from .metrics import MetricsRegistry
+from .switch import SWITCHES, _current, current_run
 
 __all__ = [
     "RunContext", "RunRegistry", "run_registry", "new_run_id",
@@ -59,38 +54,33 @@ def new_run_id() -> str:
 class RunContext:
     """One run's identity plus (optionally) its own telemetry instruments.
 
-    Instrument fields left as ``None`` defer to the process-global
-    singleton; enable flags left as ``None`` defer to the module-global
-    on/off switches.  :meth:`ambient` leaves everything deferred;
-    :meth:`scoped` pins all of it.
+    Each registered :class:`~repro.obs.switch.Switch` contributes two
+    keyword fields: its slot (a private instrument, e.g. ``tracer``) and
+    its pin (an on/off override, e.g. ``trace_enabled``).  Fields left
+    ``None`` defer to the global instrument and switch; ``metrics`` is a
+    private :class:`MetricsRegistry`.  Pins are fixed at construction.
+    :meth:`ambient` leaves everything deferred; :meth:`scoped` pins all
+    of it.
     """
 
-    __slots__ = ("run_id", "tracer", "events", "metrics", "memory",
-                 "profiler", "health", "trace_enabled", "events_enabled",
-                 "mem_enabled", "profile_enabled", "health_enabled",
-                 "created_at", "finished_at", "status", "meta")
+    __slots__ = ("run_id", "metrics", "created_at", "finished_at", "status",
+                 "meta", "pinned_on",
+                 *(name for switch in SWITCHES.values()
+                   for name in (switch.slot, switch.pin)))
 
-    def __init__(self, run_id: str | None = None, *,
-                 tracer=None, events=None, metrics=None, memory=None,
-                 profiler=None, health=None,
-                 trace_enabled: bool | None = None,
-                 events_enabled: bool | None = None,
-                 mem_enabled: bool | None = None,
-                 profile_enabled: bool | None = None,
-                 health_enabled: bool | None = None,
-                 meta: dict | None = None):
+    def __init__(self, run_id: str | None = None, *, metrics=None,
+                 meta: dict | None = None, **instruments):
         self.run_id = run_id or new_run_id()
-        self.tracer = tracer
-        self.events = events
         self.metrics = metrics
-        self.memory = memory
-        self.profiler = profiler
-        self.health = health
-        self.trace_enabled = trace_enabled
-        self.events_enabled = events_enabled
-        self.mem_enabled = mem_enabled
-        self.profile_enabled = profile_enabled
-        self.health_enabled = health_enabled
+        for switch in SWITCHES.values():
+            setattr(self, switch.slot, instruments.pop(switch.slot, None))
+            setattr(self, switch.pin, instruments.pop(switch.pin, None))
+        if instruments:
+            raise TypeError(f"unknown RunContext fields: "
+                            f"{sorted(instruments)}")
+        #: whether any pin is on (read by :func:`repro.obs.switch.quiet`).
+        self.pinned_on = any(getattr(self, switch.pin)
+                             for switch in SWITCHES.values())
         self.created_at = time.time()
         self.finished_at: float | None = None
         self.status = "created"
@@ -114,6 +104,7 @@ class RunContext:
 
         The enable flags are pinned (not deferred), so a scoped run is
         unaffected by — and does not affect — the module-global switches.
+        The attribution recorder is private too and pinned off.
         With ``profile=True`` the context owns a private
         :class:`~repro.obs.profiler.ProfileStore`; :func:`using` keeps
         the process-wide sampler thread alive for the activation.
@@ -128,11 +119,13 @@ class RunContext:
             profiler=(_profiler_mod.ProfileStore(hz=profile_hz)
                       if profile else None),
             health=_health_mod.HealthCollector(),
+            attribution=_attr_mod.AttributionRecorder(),
             trace_enabled=trace,
             events_enabled=events,
             mem_enabled=mem,
             profile_enabled=profile,
             health_enabled=health,
+            attr_enabled=False,
             meta=meta,
         )
 
@@ -151,11 +144,8 @@ class RunContext:
             "scoped": self.owns_telemetry,
             "created_at": self.created_at,
             "finished_at": self.finished_at,
-            "trace_enabled": self.trace_enabled,
-            "events_enabled": self.events_enabled,
-            "mem_enabled": self.mem_enabled,
-            "profile_enabled": self.profile_enabled,
-            "health_enabled": self.health_enabled,
+            **{switch.pin: getattr(self, switch.pin)
+               for switch in SWITCHES.values()},
             "meta": self.meta,
         }
         if self.events is not None:
@@ -229,7 +219,7 @@ run_registry = RunRegistry()
 
 def current() -> RunContext | None:
     """The active run context in this execution context, if any."""
-    return _ctx.current()
+    return current_run()
 
 
 @contextmanager
@@ -252,7 +242,7 @@ def using(ctx: RunContext, *, register: bool = True):
         # Samples on this thread taken outside any span (or with tracing
         # off entirely) still belong to this run's store.
         bind_token = _profiler_mod.bind_thread(ctx.profiler)
-    token = _ctx.activate(ctx)
+    token = _current.set(ctx)
     try:
         yield ctx
     except BaseException:
@@ -262,7 +252,7 @@ def using(ctx: RunContext, *, register: bool = True):
         ctx.status = "finished"
     finally:
         ctx.finished_at = time.time()
-        _ctx.deactivate(token)
+        _current.reset(token)
         if profiled:
             if bind_token is not None:
                 _profiler_mod.unbind_thread(bind_token)

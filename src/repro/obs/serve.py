@@ -406,161 +406,24 @@ class ObsServer:
 
 
 def load_trace_dir(trace_dir: str) -> dict:
-    """Reconstruct live state from a ``repro trace`` artifact directory.
+    """Reconstruct live state from a ``repro trace`` artifact directory:
+    every registered artifact present replays its gauges / events (see
+    :mod:`repro.obs.artifacts`).  Returns the counts loaded; raises
+    ``FileNotFoundError`` when no artifact had anything to replay."""
+    from .artifacts import TraceArtifacts, registry
 
-    Replays ``trace.jsonl`` spans into the registry's span histograms (and
-    derives the pool utilization gauges), restores ``metrics.json`` gauges
-    / counters / event counts, and feeds ``events.jsonl`` back into the
-    event log so ``/runz`` reflects the recorded run.  Artifact reading
-    goes through :class:`~repro.obs.artifacts.TraceArtifacts`, so missing
-    files are simply skipped and malformed ones warn instead of aborting
-    the replay.  Returns a summary of what was loaded; raises
-    ``FileNotFoundError`` when the directory has none of the expected
-    artifacts.
-    """
-    import os
-
-    from .artifacts import TraceArtifacts
-    from .utilization import utilization_from_spans
-
+    arts = TraceArtifacts(trace_dir)
     loaded = {"spans": 0, "events": 0, "gauges": 0, "counters": 0}
     found = False
-    arts = TraceArtifacts(trace_dir)
-
-    spans = arts.spans()
-    if spans is not None:
-        found = True
-        for rec in spans:
-            if rec.t1 is not None:
-                _registry.observe_span(rec.kind, rec.duration)
-        loaded["spans"] = len(spans)
-        util = utilization_from_spans(spans)
-        if util is not None:
-            _registry.set_gauge("pool.imbalance", util.mean_imbalance)
-            _registry.set_gauge("pool.busy_seconds", util.busy_seconds)
-            _registry.set_gauge("pool.n_workers", len(util.workers))
-
-    metrics_doc = arts.metrics()
-    if metrics_doc is not None:
-        found = True
-        snap = metrics_doc.get("metrics", {})
-        for name, value in snap.get("gauges", {}).items():
-            _registry.set_gauge(name, value)
-            loaded["gauges"] += 1
-        for name, value in snap.get("events", {}).items():
-            _registry.incr(name, int(value))
-        counters = _registry.counters
-        for name, value in snap.get("counters", {}).items():
-            if hasattr(counters, name) and name != "extra":
-                setattr(counters, name, value)
-            else:
-                counters.extra[name] = value
-            loaded["counters"] += 1
-
-    events = arts.events()
-    if events is not None:
-        found = True
-        log = _events.get_log()
-        loaded["events"] = log.replay(events)
-
-    # Per-mode prediction-error gauges from a recorded attribution doc, so
-    # a replayed /metrics carries the same attr.* series as a live run.
-    attr_doc = arts.attribution()
-    if attr_doc is not None:
-        found = True
-        max_err = None
-        for row in attr_doc.get("modes", []):
-            ratio = row.get("flops_ratio")
-            if ratio is not None:
-                _registry.set_gauge(
-                    f"attr.mode{row['mode']}.flops_ratio", ratio
-                )
-                loaded["gauges"] += 1
-        for row in attr_doc.get("nodes", []):
-            ratio = row.get("flops_ratio")
-            if ratio is not None:
-                err = abs(ratio - 1.0)
-                max_err = err if max_err is None else max(max_err, err)
-        if max_err is not None:
-            _registry.set_gauge("attr.max_node_flops_err", max_err)
-            loaded["gauges"] += 1
-
-    # Roofline gauges: the trace dir snapshots the calibration it ran
-    # under (machine.json), so a replayed /metrics serves the same
-    # repro_roofline_* families as the original host — ceilings plus the
-    # achieved fractions recomputed from the replayed spans.
-    machine_path = os.path.join(trace_dir, "machine.json")
-    if os.path.exists(machine_path):
-        from .roofline import publish_roofline_gauges, report_from_trace_dir
-
-        report = report_from_trace_dir(trace_dir, load=False)
-        if report.calibrated:
+    for art in registry():
+        doc = arts.load(art.name) if art.replay else None
+        got = art.replay(doc, arts) if doc is not None else None
+        if got is not None:
             found = True
-            publish_roofline_gauges(report.roofline, report.configs)
-            loaded["gauges"] += 4 + len(report.roofline.bandwidth_points)
-
-    # Sampling-profiler gauges from profile.json: overall sample stats
-    # plus per-span-kind self seconds for the hottest kinds, so a
-    # replayed /metrics answers "where did the time go" without the
-    # artifact in hand.
-    profile_doc = arts.profile()
-    if profile_doc is not None:
-        found = True
-        _registry.set_gauge("profile.n_samples",
-                            int(profile_doc.get("n_samples", 0)))
-        _registry.set_gauge("profile.hz",
-                            float(profile_doc.get("hz", 0.0)))
-        _registry.set_gauge("profile.sampled_seconds",
-                            float(profile_doc.get("sampled_seconds", 0.0)))
-        loaded["gauges"] += 3
-        for row in profile_doc.get("spans", [])[:8]:
-            _registry.set_gauge(
-                f"profile.span.{row['kind']}.self_seconds",
-                float(row.get("self_seconds", 0.0)),
-            )
-            loaded["gauges"] += 1
-
-    # Numerical-health gauges from health.json: the final iteration's
-    # conditioning/congruence state plus run totals, so a replayed
-    # /metrics carries the same repro_health_* families as a live run.
-    health_doc = arts.health()
-    if health_doc is not None:
-        from .health import TRAJECTORY_CODES
-
-        found = True
-        readings = health_doc.get("readings", [])
-        if readings:
-            last = readings[-1]
-            conds = [c for c in last.get("condition_numbers", [])
-                     if c is not None]
-            if conds:
-                _registry.set_gauge("health.max_condition_number",
-                                    max(conds))
-                loaded["gauges"] += 1
-            deltas = [d for d in last.get("factor_deltas", [])
-                      if d is not None]
-            if deltas:
-                _registry.set_gauge("health.max_factor_delta", max(deltas))
-                loaded["gauges"] += 1
-            if last.get("congruence") is not None:
-                _registry.set_gauge("health.congruence",
-                                    float(last["congruence"]))
-                loaded["gauges"] += 1
-            code = TRAJECTORY_CODES.get(last.get("trajectory"))
-            if code is not None:
-                _registry.set_gauge("health.trajectory_code", code)
-                loaded["gauges"] += 1
-        _registry.set_gauge(
-            "health.total_pinv_fallbacks",
-            int(health_doc.get("total_pinv_fallbacks", 0)))
-        _registry.set_gauge(
-            "health.total_truncated_eigenvalues",
-            int(health_doc.get("total_truncated_eigenvalues", 0)))
-        loaded["gauges"] += 2
-
+            for key, n in got.items():
+                loaded[key] += n
     if not found:
+        names = " / ".join(art.filename for art in registry())
         raise FileNotFoundError(
-            f"no trace artifacts (trace.jsonl / metrics.json / "
-            f"events.jsonl) in {trace_dir!r}"
-        )
+            f"no trace artifacts ({names}) in {trace_dir!r}")
     return loaded

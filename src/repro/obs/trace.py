@@ -8,13 +8,8 @@ inside another becomes its child — including across threads, because
 submitting thread's context.  The result is a tree that attributes every
 microsecond of an engine run to the phase that spent it.
 
-Tracing is **off by default** and must be no-op-cheap when off: ``span()``
-returns a shared null context manager without allocating, and hot call
-sites additionally guard on :func:`enabled`.  Enable with
-:func:`enable` / the :func:`tracing` context manager, or set the
-``REPRO_TRACE`` environment variable before import::
-
-    REPRO_TRACE=1 python -m repro decompose nips --scale 0.05
+Tracing is off by default (:data:`SWITCH`, ``REPRO_TRACE``); ``span()``
+then returns a shared null context manager without allocating.
 
 Finished spans accumulate in a process-global :class:`Tracer`; export them
 with :mod:`repro.obs.export` (Chrome ``trace_event`` JSON, JSONL, or a
@@ -25,13 +20,11 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import os
 import threading
 import time
-from contextlib import contextmanager
 
-from . import _ctx
 from .metrics import registry as _metrics
+from .switch import Switch, env_flag
 
 __all__ = [
     "SpanRecord", "Tracer", "span", "record_span", "enabled", "enable",
@@ -141,47 +134,11 @@ _current: contextvars.ContextVar[int | None] = contextvars.ContextVar(
 _tracer = Tracer()
 
 
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_enabled: bool = _truthy(os.environ.get("REPRO_TRACE"))
-
-
-def enabled() -> bool:
-    """Whether tracing is currently on (the call-site guard).
-
-    A run context with an explicit ``trace_enabled`` overrides the module
-    global, so a scoped run can trace while the process default is off —
-    and vice versa — without touching shared state.
-    """
-    ctx = _ctx.current()
-    if ctx is not None and ctx.trace_enabled is not None:
-        return ctx.trace_enabled
-    return _enabled
-
-
-def enable(*, clear: bool = False) -> None:
-    """Turn tracing on; ``clear=True`` also drops previously recorded spans."""
-    global _enabled
-    if clear:
-        _tracer.clear()
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn tracing off (recorded spans are kept until :meth:`Tracer.clear`)."""
-    global _enabled
-    _enabled = False
-
-
-def get_tracer() -> Tracer:
-    """The active tracer: the run context's when one is installed, else
-    the process-global one holding recorded spans."""
-    ctx = _ctx.current()
-    if ctx is not None and ctx.tracer is not None:
-        return ctx.tracer
-    return _tracer
+#: the tracer's switch (``REPRO_TRACE``; pin ``RunContext.trace_enabled``).
+SWITCH = Switch("trace", _tracer, pin="trace_enabled", slot="tracer",
+                on=env_flag("REPRO_TRACE"), clear=_tracer.clear)
+enabled, enable, disable = SWITCH.enabled, SWITCH.enable, SWITCH.disable
+get_tracer = SWITCH.get
 
 
 def current_span_id() -> int | None:
@@ -340,20 +297,5 @@ def merge_subprocess_spans(span_dicts, *, offset: float,
     return merged
 
 
-@contextmanager
-def tracing(*, clear: bool = True):
-    """Enable tracing for a block, restoring the previous state after.
-
-    Usage::
-
-        with tracing():
-            engine.mttkrp(0)
-        spans = get_tracer().finished()
-    """
-    was = _enabled
-    enable(clear=clear)
-    try:
-        yield _tracer
-    finally:
-        if not was:
-            disable()
+#: ``with tracing(): ...`` traces a block, restoring the prior state after.
+tracing = SWITCH.block

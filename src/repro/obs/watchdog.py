@@ -54,8 +54,10 @@ from ..model.cost import CostReport
 from ..perf.counters import Counters
 from . import events as _events
 from .metrics import registry as _metrics
+from .switch import RunPlugin
 
-__all__ = ["ModelDriftWarning", "DriftReading", "DriftWatchdog"]
+__all__ = ["ModelDriftWarning", "DriftReading", "DriftWatchdog",
+           "WatchdogPlugin"]
 
 logger = logging.getLogger("repro.obs.watchdog")
 
@@ -340,6 +342,38 @@ class DriftWatchdog:
     def n_fired(self) -> int:
         """Total out-of-band readings so far."""
         return sum(len(r.fired) for r in self.readings)
+
+
+class WatchdogPlugin(RunPlugin):
+    """Runs a :class:`DriftWatchdog` over a cp_als run: each iteration's
+    private counters, wall time and the memory / attribution / health
+    readings taken just before it."""
+
+    name = "drift"
+    result_field = "drift_readings"
+    counts = True
+
+    def end(self, it) -> DriftReading:
+        return self.instrument.observe(
+            it.iteration, it.counters, it.seconds,
+            mem=it.readings.get("memory"),
+            attribution=it.readings.get("attribution"),
+            health=it.readings.get("health"),
+        )
+
+    def fields(self, reading: DriftReading) -> dict:
+        fields = {"drift_flops_ratio": reading.flops_ratio,
+                  "drift_words_ratio": reading.words_ratio}
+        if reading.time_ratio is not None:
+            fields["drift_time_ratio"] = reading.time_ratio
+        if reading.mem_ratio is not None:
+            fields["drift_mem_ratio"] = reading.mem_ratio
+        if reading.fired:
+            fields["drift_fired"] = list(reading.fired)
+        return fields
+
+    def result(self) -> list:
+        return self.instrument.readings
 
 
 def _ratio(measured: float, predicted: float) -> float:

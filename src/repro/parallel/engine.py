@@ -19,15 +19,10 @@ import numpy as np
 
 from ..core.coo import CooTensor
 from ..core.dtypes import VALUE_DTYPE
-from ..core.engine import MemoizedMttkrp, contraction_work
-import time
-
+from ..core.engine import MemoizedMttkrp
 from ..kernels import get_kernel
-from ..obs import attribution as _attr
-from ..obs import events as _events
-from ..obs import memory as _mem
+from ..obs import seam as _seam
 from ..obs import trace as _trace
-from ..perf import counters as perf
 from .pool import WorkerPool
 
 
@@ -63,10 +58,11 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
     def close(self) -> None:
         if self._own_pool:
             self.pool.close()
-        if _mem.enabled():
+        tracker = _seam.node_tracker()
+        if tracker is not None:
             # Pool engines are commonly short-lived context managers; drop
             # their entries so the tracker's live total reflects reality.
-            _mem.get_tracker().release_engine(id(self))
+            tracker.release_engine(id(self))
 
     def __enter__(self) -> "ParallelMemoizedMttkrp":
         return self
@@ -74,9 +70,8 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _compute_node(self, node_id: int) -> np.ndarray:
-        sym = self.symbolic.nodes[node_id]
-        plan = sym.plan
+    def _rebuild_plan(self, node_id, ctx):
+        plan = ctx.sym.plan
         assert plan is not None
         n_chunks = min(
             self.pool.n_workers,
@@ -84,57 +79,27 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
         )
         chunks = plan.chunks(n_chunks) if n_chunks > 1 else []
         if len(chunks) <= 1:
-            return super()._compute_node(node_id)
+            return super()._rebuild_plan(node_id, ctx)
 
-        ctx = self._rebuild_context(node_id)
         kernel = self._chunk_kernel
-        attr = _attr.get_recorder() if _attr.enabled() else None
-        seconds = 0.0
-        out = np.empty((sym.nnz, self.rank), dtype=VALUE_DTYPE)
-        if _trace.enabled():
-            def chunk_fn(s, g):
-                with _trace.span("kernel_chunk", backend=kernel.name,
-                                 node=node_id):
-                    kernel.rebuild_chunk(ctx, s, g, out)
+        out = np.empty((ctx.sym.nnz, self.rank), dtype=VALUE_DTYPE)
 
-            with _trace.span("node_rebuild", node=node_id, nnz=sym.nnz,
-                             parent_nnz=ctx.parent_sym.nnz,
-                             chunks=len(chunks)) as rec:
-                self.pool.run([
-                    (lambda s=s, g=g: chunk_fn(s, g)) for s, g in chunks
-                ])
-            if rec is not None:
-                seconds = rec.duration
-                if _events.enabled():
-                    _events.emit("node_rebuild", node=node_id, nnz=sym.nnz,
-                                 seconds=seconds, chunks=len(chunks))
-        elif _events.enabled() or attr is not None:
-            t0 = time.perf_counter()
-            self.pool.run([
-                (lambda s=s, g=g: kernel.rebuild_chunk(ctx, s, g, out))
-                for s, g in chunks
-            ])
-            seconds = time.perf_counter() - t0
-            if _events.enabled():
-                _events.emit("node_rebuild", node=node_id, nnz=sym.nnz,
-                             seconds=seconds, chunks=len(chunks))
-        else:
-            self.pool.run([
-                (lambda s=s, g=g: kernel.rebuild_chunk(ctx, s, g, out))
-                for s, g in chunks
-            ])
-        flops, words = contraction_work(
-            ctx.parent_sym.nnz, self.rank, len(sym.delta_modes)
-        )
-        perf.record(
-            flops=flops, words=words,
-            contractions=len(sym.delta_modes), node_builds=1,
-        )
-        if attr is not None:
-            attr.on_rebuild(node_id, flops, words, seconds)
-        if _trace.enabled():
-            # Chunked rebuilds grow per-worker arena buffers; refresh the
-            # workspace gauge here so the peak is visible even between
-            # mttkrp span boundaries.
-            self._publish_memory_gauges()
-        return out
+        def chunk(s, g):
+            kernel.rebuild_chunk(ctx, s, g, out)
+
+        def traced_chunk(s, g):
+            with _trace.span("kernel_chunk", backend=kernel.name,
+                             node=node_id):
+                chunk(s, g)
+
+        def run(traced: bool) -> np.ndarray:
+            fn = traced_chunk if traced else chunk
+            self.pool.run([(lambda s=s, g=g: fn(s, g)) for s, g in chunks])
+            if traced:
+                # Chunked rebuilds grow per-worker arena buffers; refresh
+                # the workspace gauge so the peak is visible even between
+                # mttkrp span boundaries.
+                self._publish_memory_gauges()
+            return out
+
+        return run, {"chunks": len(chunks)}

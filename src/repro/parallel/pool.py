@@ -21,10 +21,10 @@ from ..core.coo import CooTensor
 from ..core.dtypes import VALUE_DTYPE
 from ..core.validate import check_mode, check_positive_int
 from ..baselines.base import MttkrpBackend
-from ..obs import _ctx as _run_ctx
 from ..obs import profiler as _profiler
 from ..obs import trace as _trace
 from ..obs.metrics import registry as _metrics
+from ..obs.switch import current_run
 from .partition import partition_nonzeros
 
 
@@ -170,7 +170,7 @@ class WorkerPool:
                 self._publish_imbalance(durations)
                 return results
             return [t() for t in tasks]
-        if _trace.enabled() or _run_ctx.current() is not None:
+        if _trace.enabled() or current_run() is not None:
             # One context copy per task: a Context cannot be entered by two
             # threads at once, and the copy carries the parent span id and
             # the active run context (so worker-thread events/metrics land
