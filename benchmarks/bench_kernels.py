@@ -26,7 +26,8 @@ from repro.core.segreduce import SegmentPlan
 from repro.core.strategy import balanced_binary
 from repro.core.symbolic import SymbolicTree
 from repro.formats.csf import CsfTensor
-from repro.kernels import available_kernels, unavailable_kernels
+from repro.kernels import (DEFAULT_KERNEL, available_kernels,
+                           unavailable_kernels)
 from repro.linalg.khatri_rao import khatri_rao_rows
 from repro.model.overlap import DistinctCounter
 from repro.synth.skewed import skewed_random_tensor
@@ -160,7 +161,7 @@ def run_acceptance_sweep(repeats: int = 3) -> dict:
     runs = []
     reference_out = None
     for backend in available_kernels():
-        blocks = BLOCK_SWEEP if backend == "numpy" else (None,)
+        blocks = BLOCK_SWEEP if backend in ("numpy", DEFAULT_KERNEL) else (None,)
         for block in blocks:
             if block is None:
                 os.environ.pop("REPRO_KERNEL_BLOCK", None)

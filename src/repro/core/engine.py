@@ -58,8 +58,10 @@ class MemoizedMttkrp:
         :func:`repro.kernels.available_kernels`, a
         :class:`~repro.kernels.KernelBackend` instance, or ``None`` to
         resolve from the ``REPRO_KERNEL`` environment variable (default
-        ``"numpy"``).  Backends differ only in execution; every backend
-        produces the same values and identical perf counters.
+        :data:`repro.kernels.DEFAULT_KERNEL`, ``"csr"``).  Backends differ
+        only in execution; every backend produces the same values (see the
+        parity contract in ``docs/performance.md``) and identical perf
+        counters.
     """
 
     def __init__(self, tensor: CooTensor, strategy, factors=None, *,
@@ -113,13 +115,22 @@ class MemoizedMttkrp:
         return self._factors
 
     def set_factors(self, factors: Sequence[np.ndarray]) -> None:
-        """Install a full set of factor matrices; drops every cached node."""
+        """Install a full set of factor matrices; drops every cached node.
+
+        Once the rank is known, the kernel backend builds the static state
+        its rebuilds read (kernel indices, block lists), so none of it is
+        allocated inside the first iteration.
+        """
         rank = check_factor_matrices(factors, self.tensor.shape)
         self._factors = [
             np.ascontiguousarray(U, dtype=VALUE_DTYPE) for U in factors
         ]
         self._rank = rank
         self.invalidate_all()
+        self._prepare_kernel()
+
+    def _prepare_kernel(self) -> None:
+        self._kernel.prepare(self.symbolic, self.rank)
 
     def update_factor(self, mode: int, U: np.ndarray) -> None:
         """Replace one factor; invalidates nodes contracted with ``mode``."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rowcodes
-from ..kernels.indices import NodeKernelIndex, build_node_index
+from ..kernels.indices import NodeKernelIndex, build_node_index, unique_nbytes
 from .coo import CooTensor
 from .segreduce import SegmentPlan
 from .strategy import MemoStrategy
@@ -124,15 +124,19 @@ class SymbolicTree:
             self._kernel_indices[node_id] = ki
         return ki
 
-    def build_kernel_indices(self) -> None:
-        """Eagerly build every node's kernel index (normally lazy)."""
-        for sym in self.nodes:
-            self.kernel_index(sym.node_id)
+    def build_kernel_indices(self) -> list[NodeKernelIndex]:
+        """Build (if needed) and return every non-root node's kernel index;
+        engines' kernel backends call this before the first rebuild."""
+        indices = [self.kernel_index(sym.node_id) for sym in self.nodes]
+        return [ki for ki in indices if ki is not None]
 
     def kernel_index_nbytes(self) -> int:
         """Bytes held by kernel indices built so far (excluded from
-        :meth:`index_nbytes`, which the cost model predicts exactly)."""
-        return sum(ki.nbytes() for ki in self._kernel_indices.values())
+        :meth:`index_nbytes`, which the cost model predicts exactly);
+        arrays the nodes share count once."""
+        return unique_nbytes(
+            a for ki in self._kernel_indices.values() for a in ki.arrays()
+        )
 
     # ------------------------------------------------------------------
     # accounting

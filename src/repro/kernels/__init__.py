@@ -10,13 +10,17 @@ blocks the passes to cache capacity (:mod:`~repro.kernels.blocking`), and
 makes the executor pluggable (:func:`get_kernel`; select with the
 ``REPRO_KERNEL`` environment variable or the engines' ``kernel=`` argument).
 
-Backends: ``numpy`` (default; bitwise identical to the original engine),
-``reference`` (the original engine's numeric path, for benchmarking and
-differential tests), and ``numba`` (fused ``prange`` loop, auto-detected).
+Backends: ``csr`` (default; segmented sums as CSR sparse products, within
+``AGREEMENT_RTOL`` of the original engine), ``numpy`` (bitwise identical to
+the original engine), ``alto`` (``numpy`` on bit-packed gathers, bitwise
+identical to it), ``reference`` (the original engine's numeric path, for
+benchmarking and differential tests), and ``numba`` (fused ``prange``
+loop, auto-detected).
 """
 
 from .alto import AltoEncoding, AltoKernel, aligned_chunks, fits_alto
-from .backends import KernelBackend, NumpyKernel, RebuildContext, ReferenceKernel
+from .backends import (CSR_UNAVAILABLE, CsrKernel, KernelBackend, NumpyKernel,
+                       RebuildContext, ReferenceKernel)
 from .blocking import (CANDIDATE_BLOCK_ROWS, autotune_block_rows,
                        clear_tuning_cache, default_block_rows,
                        resolve_block_rows, segment_blocks)
@@ -29,6 +33,10 @@ from .workspace import WorkspaceArena
 register_kernel(NumpyKernel.name, NumpyKernel)
 register_kernel(ReferenceKernel.name, ReferenceKernel)
 register_kernel(AltoKernel.name, AltoKernel)
+if CSR_UNAVAILABLE is None:
+    register_kernel(CsrKernel.name, CsrKernel)
+else:  # pragma: no cover - depends on scipy
+    register_unavailable(CsrKernel.name, CSR_UNAVAILABLE)
 
 try:  # optional fused backend — self-registers on import
     from . import numba_backend  # noqa: F401
@@ -39,6 +47,7 @@ __all__ = [
     "AltoEncoding",
     "AltoKernel",
     "CANDIDATE_BLOCK_ROWS",
+    "CsrKernel",
     "DEFAULT_KERNEL",
     "KernelBackend",
     "NodeKernelIndex",

@@ -11,11 +11,15 @@ applied as a separate ``(nnz, R)`` fancy-gather pass over the products.
 :class:`NodeKernelIndex` precomputes, once per node:
 
 * one **flat, contiguous, pre-permuted** gather array per delta mode
-  (``parent.index[perm, d_col]``), so the factor gather lands directly in
-  segment order and the per-rebuild permutation pass disappears entirely;
+  (``parent.index[perm, d_col]``, the rows of one matrix), so the factor
+  gather lands directly in segment order and the per-rebuild permutation
+  pass disappears entirely;
 * the parent-row permutation (``None`` when the plan's order is already
   sorted) for gathering parent/root values;
-* the ``reduceat`` segment starts.
+* the ``reduceat`` segment starts;
+* per block size, the segment-aligned block list with each block's CSR row
+  pointer, and the ``ones``/``arange`` data and column arrays the ``csr``
+  backend's block operators share.
 
 These arrays are cached on the :class:`~repro.core.symbolic.SymbolicTree`,
 so engines, restarts, and parallel workers sharing a tree share them too.
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.dtypes import VALUE_DTYPE
+
 
 class NodeKernelIndex:
     """Precomputed flat gather/reduction indices for one non-root node."""
@@ -32,36 +38,65 @@ class NodeKernelIndex:
     __slots__ = (
         "node_id", "delta_modes", "n_sources", "n_segments", "gather",
         "perm", "starts", "identity", "_blocks", "_stacked", "_perm_full",
-        "_alto",
+        "_alto", "_csr",
     )
 
     def __init__(self, node_id: int, delta_modes: tuple[int, ...],
-                 gather: tuple[np.ndarray, ...], perm: np.ndarray | None,
+                 gather, perm: np.ndarray | None,
                  starts: np.ndarray, n_sources: int, identity: bool):
         self.node_id = node_id
         self.delta_modes = delta_modes
-        self.gather = gather
+        self._stacked: np.ndarray | None = None
+        if isinstance(gather, np.ndarray):  # one (n_delta, n_sources) matrix
+            self._stacked = gather
+            gather = tuple(gather)
+        #: one flat gather array per delta mode.
+        self.gather: tuple[np.ndarray, ...] = tuple(gather)
         self.perm = perm
         self.starts = starts
         self.n_sources = int(n_sources)
         self.n_segments = int(starts.shape[0])
         self.identity = bool(identity)
         self._blocks: dict[int, list] = {}
-        self._stacked: np.ndarray | None = None
         self._perm_full: np.ndarray | None = None
         #: lazily built bit-packed gather (see repro.kernels.alto);
         #: False = packing checked and not applicable.
         self._alto = None
+        #: ``(ones, cols)`` of the csr backend's block operators.
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     def blocks_for(self, block_rows: int) -> list:
-        """Cached segment-aligned block list for one block size."""
+        """Cached segment-aligned ``(src_lo, src_hi, seg_lo, seg_hi, ptr)``
+        blocks for one block size.  ``ptr`` is the block's CSR row pointer
+        (:func:`~repro.kernels.blocking.block_pointer`); all of a node's
+        pointers are slices of one array."""
         blocks = self._blocks.get(block_rows)
         if blocks is None:
-            from .blocking import segment_blocks
+            from .blocking import block_bounds, block_pointer
 
-            blocks = list(segment_blocks(self.starts, self.n_sources, block_rows))
+            bounds = list(block_bounds(self.starts, self.n_sources, block_rows))
+            pointers = np.empty(self.n_segments + len(bounds), dtype=np.intp)
+            blocks, at = [], 0
+            for lo, hi, seg_lo, seg_hi in bounds:
+                ptr = pointers[at:at + seg_hi - seg_lo + 1]
+                block_pointer(self.starts, lo, hi, seg_lo, seg_hi, out=ptr)
+                blocks.append((lo, hi, seg_lo, seg_hi, ptr))
+                at += ptr.shape[0]
             self._blocks[block_rows] = blocks
         return blocks
+
+    def csr_operands(self, rows: int, shared=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(ones, cols)``, at least ``rows`` long: the data and column
+        arrays of every block's CSR operator (a block sums row ``k`` of its
+        product into the segment holding ``k``).  Set before the first
+        rebuild, to ``shared`` (one pair for a whole tree) when that is
+        long enough; a node gets its own pair only if a block outgrows it."""
+        if self._csr is None or self._csr[0].shape[0] < rows:
+            if shared is None or shared[0].shape[0] < rows:
+                shared = (np.ones(rows, dtype=VALUE_DTYPE),
+                          np.arange(rows, dtype=np.intp))
+            self._csr = shared
+        return self._csr
 
     def stacked_gather(self) -> np.ndarray:
         """All gather arrays as one ``(n_delta, n_sources)`` matrix (for
@@ -78,16 +113,24 @@ class NodeKernelIndex:
             self._perm_full = np.arange(self.n_sources, dtype=np.intp)
         return self._perm_full
 
+    def arrays(self):
+        """Every array the index holds, including ones shared with other
+        nodes of its tree."""
+        yield self.starts
+        yield from self.gather
+        for extra in (self.perm, self._stacked, self._perm_full):
+            if extra is not None:
+                yield extra
+        if self._alto is not None and self._alto is not False:
+            yield self._alto.codes
+        yield from self._csr or ()
+        for blocks in self._blocks.values():
+            for block in blocks:
+                yield block[4]
+
     def nbytes(self) -> int:
         """Bytes held by the cached index structures."""
-        total = self.starts.nbytes + sum(g.nbytes for g in self.gather)
-        if self.perm is not None:
-            total += self.perm.nbytes
-        if self._stacked is not None:
-            total += self._stacked.nbytes
-        if self._alto is not None and self._alto is not False:
-            total += self._alto.codes.nbytes
-        return int(total)
+        return unique_nbytes(self.arrays())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -95,6 +138,17 @@ class NodeKernelIndex:
             f"deltas={self.delta_modes}, sources={self.n_sources}, "
             f"segments={self.n_segments}, identity={self.identity})"
         )
+
+
+def unique_nbytes(arrays) -> int:
+    """Bytes of the buffers ``arrays`` keep alive, each buffer counted once
+    however many of the arrays view it."""
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a.nbytes
+    return int(sum(owners.values()))
 
 
 def build_node_index(sym, parent_sym) -> NodeKernelIndex:
@@ -107,16 +161,19 @@ def build_node_index(sym, parent_sym) -> NodeKernelIndex:
         perm = None
     else:
         perm = np.ascontiguousarray(plan.perm, dtype=np.intp)
-    gather = []
-    for d_col in sym.delta_parent_cols:
+    gather = np.empty((len(sym.delta_parent_cols), plan.n_sources),
+                      dtype=np.intp)
+    for row, d_col in zip(gather, sym.delta_parent_cols):
         col = parent_sym.index[:, d_col]
-        flat = col if perm is None else col[perm]
-        gather.append(np.ascontiguousarray(flat, dtype=np.intp))
+        if perm is None:
+            row[:] = col
+        else:
+            np.take(col, perm, out=row, mode="clip")  # unbuffered
     starts = np.ascontiguousarray(plan.starts, dtype=np.intp)
     return NodeKernelIndex(
         node_id=sym.node_id,
         delta_modes=sym.delta_modes,
-        gather=tuple(gather),
+        gather=gather,
         perm=perm,
         starts=starts,
         n_sources=plan.n_sources,

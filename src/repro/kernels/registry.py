@@ -2,10 +2,11 @@
 
 Backends register a factory under a name; engines resolve a backend from an
 explicit argument, the ``REPRO_KERNEL`` environment variable, or the default
-(``numpy``).  Optional backends (numba) register as *unavailable* with a
-reason when their dependency is missing, and requesting one falls back to
-the default with a warning rather than failing — the numeric result is the
-same either way.
+(``csr``, or ``numpy`` when scipy's CSR product cannot be imported).
+Optional backends (numba, csr) register as *unavailable* with a reason when
+their dependency is missing, and requesting one falls back to the default
+with a warning rather than failing — the numeric result is the same either
+way.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import warnings
 from typing import Callable
 
 from ..obs.metrics import registry as _metrics
-from .backends import KernelBackend
+from .backends import CSR_UNAVAILABLE, KernelBackend
 
-DEFAULT_KERNEL = "numpy"
+DEFAULT_KERNEL = "numpy" if CSR_UNAVAILABLE else "csr"
 
 _FACTORIES: dict[str, Callable[[], KernelBackend]] = {}
 _INSTANCES: dict[str, KernelBackend] = {}

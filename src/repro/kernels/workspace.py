@@ -30,6 +30,20 @@ def _round_up_rows(rows: int) -> int:
     return cap
 
 
+def value_matrix(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized ``(rows, cols)`` node value matrix.
+
+    Its allocation is rounded up to a size class (at most 1/32 larger; the
+    extra rows are never touched).  Node values are freed and rebuilt every
+    iteration, and near-equal nodes replace each other: the root's children
+    on balanced trees differ by a few rows.  Equal size classes let each fit
+    the heap chunk the other just freed, instead of growing the heap.
+    """
+    granule = 1 << max(rows.bit_length() - 5, 0)
+    capacity = -(-rows // granule) * granule
+    return np.empty((capacity, cols), dtype=VALUE_DTYPE)[:rows]
+
+
 class WorkspaceArena:
     """Named, growable scratch buffers with per-thread isolation.
 

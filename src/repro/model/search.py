@@ -76,6 +76,10 @@ def greedy_tree(
         return (build(lo, best_cut, nnz_here), build(best_cut, hi, nnz_here))
 
     spec = build(0, tensor.ndim, tensor.nnz)
+    # ``cost`` and ``build`` reach themselves through their closure cells,
+    # and ``counter`` (so the tensor) through those cycles: empty the cells
+    # so the tensor is freed on return, not at some later cyclic GC pass.
+    del cost, build
     return from_nested(spec, name=name)
 
 

@@ -61,6 +61,8 @@ def artifact_envelope(artifact_id: str, payload, **meta) -> dict:
     """
     from datetime import datetime, timezone
 
+    from ..kernels.registry import DEFAULT_KERNEL
+
     return {
         "schema": ARTIFACT_SCHEMA,
         "artifact_id": artifact_id,
@@ -68,7 +70,7 @@ def artifact_envelope(artifact_id: str, payload, **meta) -> dict:
             "timestamp": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"
             ),
-            "kernel_backend": os.environ.get("REPRO_KERNEL", "numpy"),
+            "kernel_backend": os.environ.get("REPRO_KERNEL", DEFAULT_KERNEL),
             "block_rows": os.environ.get("REPRO_KERNEL_BLOCK"),
             "bench_scale": os.environ.get("REPRO_BENCH_SCALE"),
             **build_info(),

@@ -48,8 +48,10 @@ _RUN_ID = uuid.uuid4().hex[:12]
 
 def default_knobs() -> dict:
     """The kernel knobs that make two measurements comparable."""
+    from ..kernels.registry import DEFAULT_KERNEL
+
     return {
-        "kernel_backend": os.environ.get("REPRO_KERNEL", "numpy"),
+        "kernel_backend": os.environ.get("REPRO_KERNEL", DEFAULT_KERNEL),
         "block_rows": os.environ.get("REPRO_KERNEL_BLOCK"),
         "bench_scale": os.environ.get("REPRO_BENCH_SCALE"),
     }

@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.coo import CooTensor
-from ..core.dtypes import VALUE_DTYPE
 from ..core.engine import MemoizedMttkrp
 from ..kernels import get_kernel
+from ..kernels.workspace import value_matrix
 from ..obs import seam as _seam
 from ..obs import trace as _trace
 from .pool import WorkerPool
@@ -49,11 +49,17 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
         self.pool = pool or WorkerPool(n_workers)
         if min_chunk_rows is not None:
             self.min_chunk_rows = int(min_chunk_rows)
+        kernel = get_kernel(kernel)
+        self._chunk_kernel = (
+            kernel if kernel.supports_chunks else get_kernel("numpy")
+        )
         super().__init__(tensor, strategy, factors, symbolic=symbolic,
                          kernel=kernel)
-        self._chunk_kernel = (
-            self._kernel if self._kernel.supports_chunks else get_kernel("numpy")
-        )
+
+    def _prepare_kernel(self) -> None:
+        super()._prepare_kernel()
+        if self._chunk_kernel is not self._kernel:
+            self._chunk_kernel.prepare(self.symbolic, self.rank)
 
     def close(self) -> None:
         if self._own_pool:
@@ -82,7 +88,7 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
             return super()._rebuild_plan(node_id, ctx)
 
         kernel = self._chunk_kernel
-        out = np.empty((ctx.sym.nnz, self.rank), dtype=VALUE_DTYPE)
+        out = value_matrix(ctx.sym.nnz, self.rank)
 
         def chunk(s, g):
             kernel.rebuild_chunk(ctx, s, g, out)

@@ -16,10 +16,11 @@ from repro.core.coo import CooTensor
 from repro.core.dtypes import AGREEMENT_RTOL
 from repro.core.engine import MemoizedMttkrp
 from repro.core.symbolic import SymbolicTree
-from repro.kernels import (KernelBackend, WorkspaceArena, autotune_block_rows,
-                           available_kernels, clear_tuning_cache,
-                           default_block_rows, get_kernel, resolve_block_rows,
-                           segment_blocks, unavailable_kernels)
+from repro.kernels import (DEFAULT_KERNEL, KernelBackend, WorkspaceArena,
+                           autotune_block_rows, available_kernels,
+                           clear_tuning_cache, default_block_rows, get_kernel,
+                           resolve_block_rows, segment_blocks,
+                           unavailable_kernels)
 from repro.parallel import ParallelCooMttkrp, ParallelMemoizedMttkrp
 from repro.perf import counting
 
@@ -158,9 +159,10 @@ class TestCounterParity:
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
-    def test_default_is_numpy(self, monkeypatch):
+    def test_default_is_csr(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert get_kernel().name == "numpy"
+        assert DEFAULT_KERNEL == "csr"
+        assert get_kernel().name == DEFAULT_KERNEL
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "reference")
@@ -186,10 +188,10 @@ class TestRegistry:
         assert "numba" in unavailable_kernels()
         with pytest.warns(RuntimeWarning, match="falling back"):
             backend = get_kernel("numba")
-        assert backend.name == "numpy"
+        assert backend.name == DEFAULT_KERNEL
 
     def test_available_lists_default_first(self):
-        assert BACKENDS[0] == "numpy"
+        assert BACKENDS[0] == DEFAULT_KERNEL
         assert "reference" in BACKENDS
 
     def test_backend_is_kernel_backend(self):
@@ -228,6 +230,17 @@ class TestWorkspaceArena:
         assert arena.nbytes() >= 2048 * 8 * 8
         arena.clear()
         assert arena.nbytes() == 0
+
+    def test_value_matrix_size_class(self):
+        from repro.kernels.workspace import value_matrix
+
+        for rows in (0, 1, 31, 89_197, 89_330):
+            v = value_matrix(rows, 16)
+            assert v.shape == (rows, 16) and v.flags.c_contiguous
+            assert v.base is None or v.base.shape[0] <= rows * 33 // 32 + 1
+        # sibling nodes a few rows apart share one size class
+        a, b = value_matrix(89_197, 16), value_matrix(89_330, 16)
+        assert a.base.shape == b.base.shape
 
     def test_engine_reports_workspace(self):
         rng = np.random.default_rng(0)
@@ -402,3 +415,196 @@ class TestKernelIndexCache:
                 assert g.flags.c_contiguous
                 expected = parent_index[:, d_col][plan.perm]
                 np.testing.assert_array_equal(g, expected)
+
+
+# ---------------------------------------------------------------------------
+# csr backend: segmented sums as CSR products
+# ---------------------------------------------------------------------------
+
+def _sweeps(engines, tensor, rank, rng, n_sweeps=2):
+    """Yield every engine's MTTKRP per mode over ``n_sweeps`` ALS sweeps,
+    installing the same factor update in each engine after each mode."""
+    order = engines[0].mode_order
+    for _ in range(n_sweeps):
+        for mode in order:
+            yield [e.mttkrp(mode) for e in engines]
+            U = rng.standard_normal((tensor.shape[mode], rank))
+            for e in engines:
+                e.update_factor(mode, U)
+
+
+class TestCsrKernel:
+    STRATEGIES = [S.balanced_binary(4), S.star(4),
+                  S.from_nested(((0, 2), (1, 3)))]
+
+    def test_matches_reference_across_invalidations(self):
+        rng = np.random.default_rng(7)
+        tensor = random_coo(rng, (20, 31, 17, 24), 800)
+        factors = random_factors(rng, tensor.shape, 16)
+        for strategy in self.STRATEGIES:
+            ref = MemoizedMttkrp(tensor, strategy, factors, kernel="reference")
+            csr = MemoizedMttkrp(tensor, strategy, factors, kernel="csr")
+            for expected, got in _sweeps([ref, csr], tensor, 16, rng):
+                np.testing.assert_allclose(got, expected, rtol=AGREEMENT_RTOL,
+                                           atol=AGREEMENT_RTOL)
+
+    def test_chunks_bitwise_equal_whole_node(self):
+        """SpMM rows are independent: any segment-aligned split of a node
+        gives bitwise the whole-node rebuild."""
+        rng = np.random.default_rng(11)
+        tensor = random_coo(rng, (12, 14, 10, 11), 4000)
+        factors = random_factors(rng, tensor.shape, 8)
+        engine = MemoizedMttkrp(tensor, "bdt", factors, kernel="csr")
+        kernel = engine.kernel
+        for node in engine.strategy.nodes:
+            if node.is_root:
+                continue
+            engine._ensure_node(node.parent)
+            ctx = engine._rebuild_context(node.id)
+            whole = kernel.rebuild(ctx)
+            for n_chunks in (2, 3, 7):
+                out = np.full_like(whole, np.nan)
+                for src, seg in ctx.sym.plan.chunks(n_chunks):
+                    kernel.rebuild_chunk(ctx, src, seg, out)
+                np.testing.assert_array_equal(out, whole)
+            strided = np.empty((whole.shape[0], 2 * whole.shape[1]))[:, ::2]
+            src, seg = ctx.sym.plan.chunks(1)[0]
+            with pytest.raises(ValueError, match="C-contiguous"):
+                kernel.rebuild_chunk(ctx, src, seg, strided)
+
+    def test_parallel_engine_bitwise_equal_sequential(self):
+        rng = np.random.default_rng(5)
+        tensor = random_coo(rng, (12, 14, 10, 11), 4000)
+        factors = random_factors(rng, tensor.shape, 8)
+        sequential = MemoizedMttkrp(tensor, "bdt", factors, kernel="csr")
+        with ParallelMemoizedMttkrp(
+            tensor, "bdt", factors, n_workers=3, min_chunk_rows=4,
+            kernel="csr",
+        ) as par:
+            for seq_out, par_out in _sweeps([sequential, par], tensor, 8, rng):
+                np.testing.assert_array_equal(par_out, seq_out)
+
+    def test_segment_larger_than_block_and_unblocked(self, monkeypatch):
+        """One slice holds most nonzeros, so its leaf segment alone exceeds
+        the block size; blocked, unblocked and reference runs agree."""
+        rng = np.random.default_rng(13)
+        idx = np.column_stack([rng.integers(0, s, 3000)
+                               for s in (9, 10, 11, 12)])
+        idx[:2000, 0] = 4
+        tensor = CooTensor(idx, rng.standard_normal(3000), (9, 10, 11, 12))
+        factors = random_factors(rng, tensor.shape, 8)
+        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "64")
+        blocked = MemoizedMttkrp(tensor, "star", factors, kernel="csr")
+        ki = blocked.symbolic.kernel_index(blocked.strategy.leaf_id(0))
+        largest = max(hi - lo for lo, hi, *_ in ki.blocks_for(64))
+        assert largest > 64
+        assert ki.csr_operands(0)[0].shape[0] >= largest
+        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "0")
+        unblocked = MemoizedMttkrp(tensor, "star", factors, kernel="csr")
+        ref = MemoizedMttkrp(tensor, "star", factors, kernel="reference")
+        for mode in range(tensor.ndim):
+            got = blocked.mttkrp(mode)
+            np.testing.assert_array_equal(got, unblocked.mttkrp(mode))
+            np.testing.assert_allclose(got, ref.mttkrp(mode),
+                                       rtol=AGREEMENT_RTOL, atol=AGREEMENT_RTOL)
+
+    def test_static_state_built_before_first_rebuild(self):
+        """``set_factors`` builds every non-root node's kernel index, block
+        list and CSR operands; the rebuilds then allocate none of them."""
+        rng = np.random.default_rng(17)
+        tensor = random_coo(rng, (9, 7, 8, 6, 5), 1500)
+        sym = SymbolicTree(tensor, S.balanced_binary(5))
+        engine = MemoizedMttkrp(tensor, sym.strategy, symbolic=sym,
+                                kernel="csr")
+        assert sym.kernel_index_nbytes() == 0
+        engine.set_factors(random_factors(rng, tensor.shape, 8))
+        block_rows = resolve_block_rows(8, engine.kernel)
+        for node in sym.strategy.nodes:
+            if node.is_root:
+                continue
+            ki = sym._kernel_indices[node.id]
+            assert block_rows in ki._blocks
+            assert ki.identity or ki._csr is not None
+        before = sym.kernel_index_nbytes()
+        for _ in _sweeps([engine], tensor, 8, rng):
+            pass
+        assert sym.kernel_index_nbytes() == before
+
+    def test_index_nbytes_counts_cached_arrays(self):
+        rng = np.random.default_rng(19)
+        tensor = random_coo(rng, (9, 7, 8, 6), 600)
+        engine = MemoizedMttkrp(tensor, "bdt",
+                                random_factors(rng, tensor.shape, 4),
+                                kernel="csr")
+        for node in engine.strategy.nodes:
+            if node.is_root:
+                continue
+            ki = engine.symbolic.kernel_index(node.id)
+            ki.perm_or_identity()
+            arrays = [ki.starts, *ki.gather, ki.perm, ki._perm_full,
+                      *(ki._csr or ())]
+            arrays += [b[4] for bl in ki._blocks.values() for b in bl]
+            assert ki.nbytes() == sum(a.nbytes for a in arrays
+                                      if a is not None)
+        # the nodes share one ones/cols pair, counted once for the tree
+        sym = engine.symbolic
+        pairs = {id(ki._csr): ki._csr for ki in sym._kernel_indices.values()
+                 if ki._csr is not None}
+        assert len(pairs) == 1
+        ones, cols = next(iter(pairs.values()))
+        n_holders = sum(ki._csr is not None
+                        for ki in sym._kernel_indices.values())
+        assert sym.kernel_index_nbytes() == (
+            sum(ki.nbytes() for ki in sym._kernel_indices.values())
+            - (n_holders - 1) * (ones.nbytes + cols.nbytes)
+        )
+
+    def test_autotune_times_the_resolved_backend(self, monkeypatch):
+        from repro.kernels import CsrKernel, NumpyKernel
+
+        calls = {"csr": 0, "numpy": 0}
+
+        def counted(name, original):
+            def reduce_block(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+            return reduce_block
+
+        monkeypatch.setattr(CsrKernel, "_reduce_block",
+                            counted("csr", CsrKernel._reduce_block))
+        monkeypatch.setattr(NumpyKernel, "_reduce_block",
+                            counted("numpy", NumpyKernel._reduce_block))
+        monkeypatch.delenv("REPRO_KERNEL_BLOCK", raising=False)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        clear_tuning_cache()
+        chosen = autotune_block_rows(4, candidates=(1024,),
+                                     sample_rows=5000, repeats=1)
+        assert calls["csr"] > 0
+        # NumpyKernel._reduce_block is the csr class's base, never reached
+        assert calls["numpy"] == 0
+        assert resolve_block_rows(4, get_kernel("csr")) == chosen
+        clear_tuning_cache()
+
+    def test_unavailable_without_scipy_product(self):
+        """Without ``csr_matvecs`` the csr backend registers as unavailable
+        and ``numpy`` is the default, with no warning on plain resolution."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import scipy.sparse._sparsetools as st; del st.csr_matvecs\n"
+            "import repro.kernels as k\n"
+            "assert k.DEFAULT_KERNEL == 'numpy', k.DEFAULT_KERNEL\n"
+            "assert 'csr' in k.unavailable_kernels()\n"
+            "assert 'csr' not in k.available_kernels()\n"
+            "assert k.get_kernel().name == 'numpy'\n"
+        )
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("REPRO_KERNEL", None)
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]

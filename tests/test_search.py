@@ -57,6 +57,22 @@ class TestGreedyTree:
         with pytest.raises(ValueError):
             greedy_tree(tensor6d, mode_order=[0, 0, 1, 2, 3, 4])
 
+    def test_leaves_no_reference_cycle(self):
+        """The memoized recursion must not keep the tensor alive for the
+        cyclic GC: a solve's tensor is freed when the solve returns."""
+        import gc
+        import sys
+
+        tensor = skewed_random_tensor((30,) * 5, 2000, 1.1, random_state=2)
+        gc.collect()
+        gc.disable()
+        try:
+            before = sys.getrefcount(tensor)
+            greedy_tree(tensor)
+            assert sys.getrefcount(tensor) == before
+        finally:
+            gc.enable()
+
     def test_order_one_rejected(self):
         from repro.core.coo import CooTensor
 
