@@ -9,6 +9,8 @@ values is static.  This package caches the static part
 blocks the passes to cache capacity (:mod:`~repro.kernels.blocking`), and
 makes the executor pluggable (:func:`get_kernel`; select with the
 ``REPRO_KERNEL`` environment variable or the engines' ``kernel=`` argument).
+The COO engines of :mod:`repro.parallel` share one shard kernel
+(:func:`coo_mttkrp_shard`, :mod:`~repro.kernels.shard`).
 
 Backends: ``csr`` (default; segmented sums as CSR sparse products, within
 ``AGREEMENT_RTOL`` of the original engine), ``numpy`` (bitwise identical to
@@ -28,6 +30,7 @@ from .indices import NodeKernelIndex, build_node_index
 from .registry import (DEFAULT_KERNEL, available_kernels, get_kernel,
                        register_kernel, register_unavailable,
                        unavailable_kernels)
+from .shard import SCATTER_UNAVAILABLE, coo_mttkrp_shard
 from .workspace import WorkspaceArena
 
 register_kernel(NumpyKernel.name, NumpyKernel)
@@ -54,6 +57,7 @@ __all__ = [
     "NumpyKernel",
     "RebuildContext",
     "ReferenceKernel",
+    "SCATTER_UNAVAILABLE",
     "WorkspaceArena",
     "aligned_chunks",
     "autotune_block_rows",
@@ -61,6 +65,7 @@ __all__ = [
     "available_kernels",
     "build_node_index",
     "clear_tuning_cache",
+    "coo_mttkrp_shard",
     "default_block_rows",
     "get_kernel",
     "register_kernel",

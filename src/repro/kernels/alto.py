@@ -92,23 +92,30 @@ class AltoEncoding:
     @classmethod
     def encode(cls, idx: np.ndarray, dims) -> "AltoEncoding":
         """Pack an ``(nnz, N)`` index matrix into ``(nnz,)`` uint64 codes."""
-        dims = tuple(int(d) for d in dims)
-        enc = cls(dims, np.zeros(idx.shape[0], dtype=np.uint64))
+        return cls.from_columns(idx.T, dims)
+
+    @classmethod
+    def from_columns(cls, columns, dims) -> "AltoEncoding":
+        """Pack one equal-length index array per mode into uint64 codes."""
+        enc = cls(dims, np.zeros(len(columns[0]), dtype=np.uint64))
         codes = enc.codes
-        for m, shift in enumerate(enc.shifts):
-            col = idx[:, m].astype(np.uint64)
+        for col, shift in zip(columns, enc.shifts):
+            col = col.astype(np.uint64)
             if shift:
                 col <<= np.uint64(shift)
             codes |= col
         return enc
 
     def decode(self, mode: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Recover one mode's coordinates for ``codes[lo:hi]`` (int64)."""
-        sl = self.codes[lo:hi if hi is not None else self.codes.shape[0]]
-        field = sl >> np.uint64(self.shifts[mode])
+        """Recover one mode's coordinates for ``codes[lo:hi]`` (int64).
+
+        Every field is below 2**63, so the int64 result is a view of the
+        decoded uint64 array: same values, no conversion copy.
+        """
+        field = self.codes[lo:hi] >> np.uint64(self.shifts[mode])
         if mode != 0:  # the top field needs no mask
             field &= np.uint64(self.masks[mode])
-        return field.astype(INDEX_DTYPE, copy=False)
+        return field.view(INDEX_DTYPE)
 
     @property
     def nnz(self) -> int:
@@ -147,47 +154,23 @@ def aligned_chunks(mode0: np.ndarray, k: int) -> list[tuple[int, int]]:
     ]
 
 
-class PackedGather:
-    """One node's delta-mode gather arrays packed into a single code array."""
+class PackedGather(AltoEncoding):
+    """One node's delta-mode gather arrays packed into a single code array
+    (fields in delta-mode order; :meth:`decode` takes the field number)."""
 
-    __slots__ = ("codes", "shifts", "masks")
-
-    def __init__(self, codes: np.ndarray, shifts: tuple[int, ...],
-                 masks: tuple[int, ...]):
-        self.codes = codes
-        self.shifts = shifts
-        self.masks = masks
-
-    def decode(self, field: int, lo: int, hi: int) -> np.ndarray:
-        sl = self.codes[lo:hi] >> np.uint64(self.shifts[field])
-        if field != 0:
-            sl &= np.uint64(self.masks[field])
-        return sl.astype(np.intp, copy=False)
+    __slots__ = ()
 
 
 def _packed_for(ki, dims: tuple[int, ...]):
     """The node's cached :class:`PackedGather` (False = not packable)."""
     packed = ki._alto
     if packed is None:
-        bits = alto_bits(dims)
-        if len(ki.gather) < 2 or sum(bits) > MAX_BITS:
-            # One delta mode: the flat gather already is a linearized
-            # index, nothing to fuse.  Too many bits: fall back.
-            packed = False
-        else:
-            shifts, acc = [], sum(bits)
-            for b in bits:
-                acc -= b
-                shifts.append(acc)
-            codes = np.zeros(ki.n_sources, dtype=np.uint64)
-            for g, shift in zip(ki.gather, shifts):
-                col = g.astype(np.uint64)
-                if shift:
-                    col <<= np.uint64(shift)
-                codes |= col
-            packed = PackedGather(
-                codes, tuple(shifts), tuple((1 << b) - 1 for b in bits)
-            )
+        # One delta mode: the flat gather already is a linearized index,
+        # nothing to fuse.  Too many bits: fall back.
+        packed = (
+            PackedGather.from_columns(ki.gather, dims)
+            if len(ki.gather) >= 2 and fits_alto(dims) else False
+        )
         ki._alto = packed
     return packed
 

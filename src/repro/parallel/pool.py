@@ -21,6 +21,8 @@ from ..core.coo import CooTensor
 from ..core.dtypes import VALUE_DTYPE
 from ..core.validate import check_mode, check_positive_int
 from ..baselines.base import MttkrpBackend
+from ..kernels.shard import coo_mttkrp_shard
+from ..kernels.workspace import WorkspaceArena
 from ..obs import profiler as _profiler
 from ..obs import trace as _trace
 from ..obs.metrics import registry as _metrics
@@ -230,8 +232,9 @@ class WorkerPool:
 class ParallelCooMttkrp(MttkrpBackend):
     """Nonzero-parallel COO MTTKRP: chunk, partial-accumulate, reduce.
 
-    Each worker computes the Hadamard products for a contiguous nonzero
-    range and scatters into a private ``I_n x R`` partial; partials are
+    Each worker runs the shared shard kernel
+    (:func:`~repro.kernels.shard.coo_mttkrp_shard`) on a contiguous nonzero
+    range, scattering into a private ``I_n x R`` partial; partials are
     summed (the distributive-TTV property).  This is the shared-memory
     algorithm of the paper's multicore evaluation, with the reduction taking
     the role of the atomic/privatized accumulation in the C implementation.
@@ -248,8 +251,10 @@ class ParallelCooMttkrp(MttkrpBackend):
             (lo, hi) for lo, hi in partition_nonzeros(tensor, self.pool.n_workers)
             if hi > lo
         ]
+        self._arena = WorkspaceArena()
 
     def close(self) -> None:
+        self._arena.clear()
         if self._own_pool:
             self.pool.close()
 
@@ -259,22 +264,19 @@ class ParallelCooMttkrp(MttkrpBackend):
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def _column(self, mode: int, lo: int, hi: int) -> np.ndarray:
+        """Mode ``mode``'s coordinates of nonzeros ``lo:hi``."""
+        return self.tensor.idx[lo:hi, mode]
+
     def _partial(self, lo: int, hi: int, mode: int) -> np.ndarray:
-        tensor, factors = self.tensor, self.factors
-        idx = tensor.idx[lo:hi]
-        prod: np.ndarray | None = None
-        for m in range(tensor.ndim):
-            if m == mode:
-                continue
-            rows = factors[m][idx[:, m]]
-            if prod is None:
-                prod = rows.copy()
-            else:
-                prod *= rows
-        assert prod is not None
-        prod *= tensor.vals[lo:hi, None]
+        tensor = self.tensor
         out = np.zeros((tensor.shape[mode], self.rank), dtype=VALUE_DTYPE)
-        np.add.at(out, idx[:, mode], prod)
+        coo_mttkrp_shard(
+            out, self._column(mode, lo, hi),
+            ((self.factors[m], self._column(m, lo, hi))
+             for m in range(tensor.ndim) if m != mode),
+            tensor.vals[lo:hi], self._arena,
+        )
         return out
 
     def mttkrp(self, mode: int) -> np.ndarray:

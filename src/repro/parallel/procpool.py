@@ -62,6 +62,8 @@ from ..core.coo import CooTensor
 from ..core.dtypes import VALUE_DTYPE
 from ..core.validate import check_mode
 from ..kernels.alto import AltoEncoding, aligned_chunks, fits_alto
+from ..kernels.shard import coo_mttkrp_shard
+from ..kernels.workspace import WorkspaceArena
 from ..obs import events as _events
 from ..obs import profiler as _profiler
 from ..obs import trace as _trace
@@ -292,56 +294,50 @@ class ProcessPool:
 
 # -- worker-side shard kernel (module-level: picklable under spawn) ---------
 
-def _shard_column(specs, layout, enc_meta, lo, hi, mode):
-    """Mode ``mode``'s coordinates for nonzeros ``lo:hi`` (int64)."""
-    if layout == "alto":
-        with _trace.span("alto_decode", mode=mode, nnz=hi - lo):
-            codes = attach_array(specs["codes"])[lo:hi]
-            shifts, masks = enc_meta
-            field = codes >> np.uint64(shifts[mode])
-            if mode != 0:
-                field &= np.uint64(masks[mode])
-            return field.astype(np.int64, copy=False)
-    return attach_array(specs["idx"])[lo:hi, mode]
+#: the shard kernel's scratch in a worker process, kept across tasks.
+_WORKER_ARENA = WorkspaceArena()
 
 
-def _mttkrp_shard(specs, layout, enc_meta, ndim, shape, mode,
-                  lo, hi, shard):
+def _mttkrp_shard(specs, layout, shape, mode, lo, hi, shard):
     """One shard's partial MTTKRP, accumulated into shared memory.
 
-    Float operation order mirrors
-    :meth:`~repro.parallel.pool.ParallelCooMttkrp._partial` exactly.
-    Mode 0 writes straight into the shared output — shards are aligned to
-    leading-mode boundaries, so writes never overlap; other modes fill
-    this shard's private slab for the parent's ordered reduction.
+    Runs the kernel every COO engine shares
+    (:func:`~repro.kernels.shard.coo_mttkrp_shard`), so float operation
+    order matches :meth:`~repro.parallel.pool.ParallelCooMttkrp._partial`
+    exactly.  Mode 0 writes straight into the shared output — shards are
+    aligned to leading-mode boundaries, so writes never overlap; other
+    modes fill this shard's private slab for the parent's ordered
+    reduction.
     """
+    if layout == "alto":
+        enc = AltoEncoding(shape, attach_array(specs["codes"]))
+
+        def column(m):
+            with _trace.span("alto_decode", mode=m, nnz=hi - lo):
+                return enc.decode(m, lo, hi)
+    else:
+        idx = attach_array(specs["idx"])
+
+        def column(m):
+            return idx[lo:hi, m]
+
     with _trace.span("kernel", backend=f"process-{layout}", mode=mode,
                      shard=shard, nnz=hi - lo):
-        vals = attach_array(specs["vals"])
-        factors = [attach_array(specs[f"factor{m}"]) for m in range(ndim)]
-        with _trace.span("kernel_chunk", phase="gather_hadamard",
+        factors = [attach_array(specs[f"factor{m}"])
+                   for m in range(len(shape))]
+        gathers = [(factors[m], column(m))
+                   for m in range(len(shape)) if m != mode]
+        target = column(mode)
+        with _trace.span("kernel_chunk", phase="gather_scatter",
                          lo=lo, hi=hi):
-            prod = None
-            for m in range(ndim):
-                if m == mode:
-                    continue
-                rows = factors[m][
-                    _shard_column(specs, layout, enc_meta, lo, hi, m)
-                ]
-                if prod is None:
-                    prod = rows.copy()
-                else:
-                    prod *= rows
-            assert prod is not None
-            prod *= vals[lo:hi, None]
-        target = _shard_column(specs, layout, enc_meta, lo, hi, mode)
-        with _trace.span("kernel_chunk", phase="scatter", lo=lo, hi=hi):
             if mode == 0:
-                np.add.at(attach_array(specs["out0"]), target, prod)
+                out = attach_array(specs["out0"])
             else:
-                slab = attach_array(specs["partials"])[shard, : shape[mode]]
-                slab.fill(0.0)
-                np.add.at(slab, target, prod)
+                out = attach_array(specs["partials"])[shard, : shape[mode]]
+                out.fill(0.0)
+            coo_mttkrp_shard(out, target, gathers,
+                             attach_array(specs["vals"])[lo:hi],
+                             _WORKER_ARENA)
         return True
 
 
@@ -388,11 +384,10 @@ class ProcessMttkrp(MttkrpBackend):
         if layout == "alto":
             self.encoding = AltoEncoding.encode(tensor.idx, tensor.shape)
             self._shm.put("codes", self.encoding.codes)
-            self._enc_meta = (self.encoding.shifts, self.encoding.masks)
         else:
             self._shm.put("idx", tensor.idx)
-            self._enc_meta = None
         self._shm.put("vals", tensor.vals)
+        self._arena = WorkspaceArena()
         self._fallback: ParallelCooMttkrp | None = None
 
     @property
@@ -451,8 +446,7 @@ class ProcessMttkrp(MttkrpBackend):
         if mode == 0:
             self._shm.array("out0")[:] = 0.0
         calls = [
-            (_mttkrp_shard, (specs, self.layout, self._enc_meta,
-                             self.tensor.ndim, self.tensor.shape, mode,
+            (_mttkrp_shard, (specs, self.layout, self.tensor.shape, mode,
                              lo, hi, shard))
             for shard, (lo, hi) in enumerate(self.chunks)
         ]
@@ -472,25 +466,18 @@ class ProcessMttkrp(MttkrpBackend):
 
     def _inline(self, mode: int) -> np.ndarray:
         """Single-worker path: whole-range accumulation, no shm slabs."""
-        tensor, factors = self.tensor, self.factors
-        enc = self.encoding
+        tensor, enc = self.tensor, self.encoding
 
         def col(m):
-            return (enc.decode(m) if enc is not None else tensor.idx[:, m])
+            return enc.decode(m) if enc is not None else tensor.idx[:, m]
 
-        prod = None
-        for m in range(tensor.ndim):
-            if m == mode:
-                continue
-            rows = factors[m][col(m)]
-            if prod is None:
-                prod = rows.copy()
-            else:
-                prod *= rows
-        assert prod is not None
-        prod *= tensor.vals[:, None]
         out = np.zeros((tensor.shape[mode], self.rank), dtype=VALUE_DTYPE)
-        np.add.at(out, col(mode), prod)
+        coo_mttkrp_shard(
+            out, col(mode),
+            ((self.factors[m], col(m))
+             for m in range(tensor.ndim) if m != mode),
+            tensor.vals, self._arena,
+        )
         return out
 
     def _activate_fallback(self, exc: BaseException) -> None:
@@ -518,6 +505,7 @@ class ProcessMttkrp(MttkrpBackend):
         self._fallback = fb
 
     def close(self) -> None:
+        self._arena.clear()
         if self._fallback is not None:
             self._fallback.close()
             self._fallback = None
@@ -549,20 +537,5 @@ class AltoCooMttkrp(ParallelCooMttkrp):
         super().__init__(tensor, n_workers, pool)
         self.encoding = AltoEncoding.encode(tensor.idx, tensor.shape)
 
-    def _partial(self, lo: int, hi: int, mode: int) -> np.ndarray:
-        tensor, factors = self.tensor, self.factors
-        enc = self.encoding
-        prod: np.ndarray | None = None
-        for m in range(tensor.ndim):
-            if m == mode:
-                continue
-            rows = factors[m][enc.decode(m, lo, hi)]
-            if prod is None:
-                prod = rows.copy()
-            else:
-                prod *= rows
-        assert prod is not None
-        prod *= tensor.vals[lo:hi, None]
-        out = np.zeros((tensor.shape[mode], self.rank), dtype=VALUE_DTYPE)
-        np.add.at(out, enc.decode(mode, lo, hi), prod)
-        return out
+    def _column(self, mode: int, lo: int, hi: int) -> np.ndarray:
+        return self.encoding.decode(mode, lo, hi)

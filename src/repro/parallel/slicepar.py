@@ -18,6 +18,8 @@ from ..baselines.base import MttkrpBackend
 from ..core.coo import CooTensor
 from ..core.dtypes import VALUE_DTYPE
 from ..core.validate import check_mode
+from ..kernels.shard import coo_mttkrp_shard
+from ..kernels.workspace import WorkspaceArena
 from .partition import partition_balance, partition_slices
 from .pool import WorkerPool
 
@@ -41,8 +43,10 @@ class SliceParallelMttkrp(MttkrpBackend):
         self._worker_rows: dict[int, list[np.ndarray]] = {}
         #: mode -> measured load imbalance of the slice assignment.
         self.imbalance: dict[int, float] = {}
+        self._arena = WorkspaceArena()
 
     def close(self) -> None:
+        self._arena.clear()
         if self._own_pool:
             self.pool.close()
 
@@ -77,22 +81,14 @@ class SliceParallelMttkrp(MttkrpBackend):
         worker_rows = self._rows_for_mode(mode)
 
         def work(rows: np.ndarray) -> None:
-            if rows.size == 0:
-                return
-            idx = tensor.idx[rows]
-            prod: np.ndarray | None = None
-            for m in range(tensor.ndim):
-                if m == mode:
-                    continue
-                gathered = factors[m][idx[:, m]]
-                if prod is None:
-                    prod = gathered.copy()
-                else:
-                    prod *= gathered
-            assert prod is not None
-            prod *= tensor.vals[rows, None]
             # This worker owns every output row it touches: direct add.
-            np.add.at(out, idx[:, mode], prod)
+            idx = tensor.idx[rows]
+            coo_mttkrp_shard(
+                out, idx[:, mode],
+                ((factors[m], idx[:, m])
+                 for m in range(tensor.ndim) if m != mode),
+                tensor.vals[rows], self._arena,
+            )
 
         self.pool.run([(lambda r=r: work(r)) for r in worker_rows])
         return out

@@ -442,3 +442,109 @@ class TestSliceParallel:
         backend.set_factors(random_factors(np.random.default_rng(23), (3, 3), 2))
         np.testing.assert_array_equal(backend.mttkrp(0), 0.0)
         backend.close()
+
+
+def _add_at_shard(out, target, gathers, vals):
+    """The pre-kernel shard loop: fancy gathers, in-place Hadamard, values
+    multiplied in, then ``np.add.at`` — the oracle the kernel must equal."""
+    prod = None
+    for factor, index in gathers:
+        rows = factor[index]
+        if prod is None:
+            prod = rows.copy()
+        else:
+            prod *= rows
+    prod *= vals[:, None]
+    np.add.at(out, target, prod)
+
+
+class TestShardKernel:
+    """``coo_mttkrp_shard`` against ``np.add.at``, bit for bit."""
+
+    @staticmethod
+    def _case(rng, n, rank, rows=(5, 9, 7)):
+        # Few target rows: nearly every row receives duplicates.
+        target = rng.integers(0, rows[0], size=n)
+        gathers = [(rng.standard_normal((r, rank)), rng.integers(0, r, n))
+                   for r in rows[1:]]
+        base = rng.standard_normal((rows[0], rank))
+        return target, gathers, rng.standard_normal(n), base
+
+    @pytest.mark.parametrize("block_rows", [None, 64])
+    @pytest.mark.parametrize("rank", [1, 6])
+    def test_bitwise_vs_add_at_with_duplicates(self, rank, block_rows,
+                                               monkeypatch):
+        from repro.kernels import WorkspaceArena, shard
+
+        if block_rows is not None:  # many blocks, a ragged last one
+            monkeypatch.setattr(shard, "default_block_rows",
+                                lambda rank: block_rows)
+        rng = np.random.default_rng(31)
+        target, gathers, vals, base = self._case(rng, 300, rank)
+        expected = base.copy()
+        _add_at_shard(expected, target, gathers, vals)
+        out = base.copy()  # accumulates onto existing contents
+        shard.coo_mttkrp_shard(out, target, gathers, vals, WorkspaceArena())
+        np.testing.assert_array_equal(out, expected)
+
+    def test_empty_range_is_a_no_op(self):
+        from repro.kernels import WorkspaceArena, coo_mttkrp_shard
+
+        def never():
+            raise AssertionError("an empty shard must not gather")
+            yield
+
+        base = np.random.default_rng(32).standard_normal((4, 3))
+        out = base.copy()
+        coo_mttkrp_shard(out, np.zeros(0, dtype=np.int64), never(),
+                         np.zeros(0), WorkspaceArena())
+        np.testing.assert_array_equal(out, base)
+
+    def test_alto_decoded_targets(self):
+        from repro.kernels import (AltoEncoding, WorkspaceArena,
+                                   coo_mttkrp_shard)
+
+        rng = np.random.default_rng(33)
+        t = random_coo(rng, (11, 6, 9), 250)
+        factors = random_factors(rng, t.shape, 4)
+        enc = AltoEncoding.encode(t.idx, t.shape)
+        lo, hi = 30, 200
+        arena = WorkspaceArena()
+        for mode in range(3):
+            gathers = [(factors[m], enc.decode(m, lo, hi))
+                       for m in range(3) if m != mode]
+            expected = np.zeros((t.shape[mode], 4))
+            _add_at_shard(expected, t.idx[lo:hi, mode], gathers,
+                          t.vals[lo:hi])
+            out = np.zeros_like(expected)
+            coo_mttkrp_shard(out, enc.decode(mode, lo, hi), gathers,
+                             t.vals[lo:hi], arena)
+            np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("bad", [5, 17, -1])
+    def test_out_of_range_target_raises_index_error(self, bad):
+        from repro.kernels import WorkspaceArena, coo_mttkrp_shard
+
+        rng = np.random.default_rng(34)
+        target, gathers, vals, base = self._case(rng, 50, 3)
+        target[20] = bad
+        out = base.copy()
+        with pytest.raises(IndexError, match="out of bounds"):
+            coo_mttkrp_shard(out, target, gathers, vals, WorkspaceArena())
+        np.testing.assert_array_equal(out, base)  # nothing written
+
+    def test_add_at_fallback_gives_same_bits(self, monkeypatch):
+        from repro.kernels import WorkspaceArena, shard
+
+        rng = np.random.default_rng(35)
+        target, gathers, vals, base = self._case(rng, 400, 5)
+        fast = base.copy()
+        shard.coo_mttkrp_shard(fast, target, gathers, vals, WorkspaceArena())
+        monkeypatch.setattr(shard, "_coo_matmat_dense", None)
+        slow = base.copy()
+        shard.coo_mttkrp_shard(slow, target, gathers, vals, WorkspaceArena())
+        np.testing.assert_array_equal(slow, fast)
+        target[0] = len(base)
+        with pytest.raises(IndexError):
+            shard.coo_mttkrp_shard(slow, target, gathers, vals,
+                                   WorkspaceArena())

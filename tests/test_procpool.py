@@ -416,3 +416,91 @@ class TestCrashFallback:
             np.testing.assert_array_equal(out, expected)
         finally:
             backend.close()
+
+
+def _add_at_oracle(tensor, factors, mode, chunks):
+    """Per-chunk fancy gathers, Hadamard, values, ``np.add.at`` into a zero
+    partial; partials summed in chunk order.  Plain numpy, independent of
+    the shard kernel every COO engine shares."""
+    idx, vals = tensor.idx, tensor.vals
+    partials = []
+    for lo, hi in chunks:
+        prod = None
+        for m in range(tensor.ndim):
+            if m == mode:
+                continue
+            rows = factors[m][idx[lo:hi, m]]
+            if prod is None:
+                prod = rows.copy()
+            else:
+                prod *= rows
+        prod *= vals[lo:hi, None]
+        out = np.zeros((tensor.shape[mode], factors[0].shape[1]))
+        np.add.at(out, idx[lo:hi, mode], prod)
+        partials.append(out)
+    out = partials[0]
+    for p in partials[1:]:
+        out += p
+    return out
+
+
+class TestCooEnginesMatchAddAtOracle:
+    """Every COO engine equals the ``np.add.at`` oracle bit for bit, under
+    its own shard boundaries and reduction order."""
+
+    @staticmethod
+    def _setup():
+        rng = np.random.default_rng(40)
+        tensor = random_coo(rng, (12, 10, 8, 6), 400)
+        return tensor, random_factors(rng, tensor.shape, 5)
+
+    @staticmethod
+    def _check(backend, tensor, factors, chunks_for):
+        for mode in range(tensor.ndim):
+            np.testing.assert_array_equal(
+                backend.mttkrp(mode),
+                _add_at_oracle(tensor, factors, mode, chunks_for(mode)),
+            )
+
+    def test_thread_tier_engines(self):
+        from repro.parallel import SliceParallelMttkrp
+        from repro.parallel.procpool import AltoCooMttkrp
+
+        tensor, factors = self._setup()
+        whole = [(0, tensor.nnz)]
+        for cls in (ParallelCooMttkrp, AltoCooMttkrp):
+            with cls(tensor, n_workers=3) as backend:
+                assert len(backend.chunks) == 3
+                backend.set_factors(factors)
+                self._check(backend, tensor, factors,
+                            lambda mode: backend.chunks)
+        # Owners write disjoint rows, each in nonzero order: the whole-range
+        # scatter, whatever the slice assignment.
+        with SliceParallelMttkrp(tensor, n_workers=2) as backend:
+            backend.set_factors(factors)
+            self._check(backend, tensor, factors, lambda mode: whole)
+
+    @pytest.mark.parametrize("layout", ["numpy", "alto"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_process_tier(self, layout, n_workers):
+        tensor, factors = self._setup()
+        whole = [(0, tensor.nnz)]
+        with make_backend(tensor, n_workers, layout=layout) as backend:
+            backend.set_factors(factors)
+            assert backend._parallel == (n_workers > 1)
+            # Mode 0 shards write disjoint rows of one output (the
+            # whole-range scatter); other modes reduce per-shard slabs.
+            self._check(backend, tensor, factors,
+                        lambda mode: whole if mode == 0 or n_workers == 1
+                        else backend.chunks)
+
+    def test_thread_fallback(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        tensor, factors = self._setup()
+        with make_backend(tensor, 2, layout="alto") as backend:
+            backend.set_factors(factors)
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                backend._activate_fallback(BrokenProcessPool("test"))
+            self._check(backend, tensor, factors,
+                        lambda mode: backend.chunks)
