@@ -43,6 +43,9 @@ class CooTensor:
     def __init__(self, idx, vals, shape, *, canonical: bool = False,
                  copy: bool = True):
         shape = check_shape(shape)
+        # Canonicalization gathers into new arrays, so only input taken as
+        # canonical needs the copy.
+        copy = copy and canonical
         idx = as_index_array(idx, copy=copy)
         vals = as_value_array(vals, copy=copy)
         if idx.ndim == 1:
@@ -294,18 +297,17 @@ class CooTensor:
 
 def _canonicalize(idx: np.ndarray, vals: np.ndarray, shape) -> tuple:
     """Sort lexicographically and merge duplicate coordinates (summing)."""
-    if idx.shape[0] == 0:
-        return idx, vals
-    unique_rows, inverse = rowcodes.group_rows(idx, shape)
-    if unique_rows.shape[0] == idx.shape[0]:
-        # No duplicates: just sort.  group_rows returned rows in lex order;
-        # recover the permutation from the inverse map.
-        perm = np.empty(idx.shape[0], dtype=np.intp)
-        perm[inverse] = np.arange(idx.shape[0])
-        return idx[perm], vals[perm]
-    summed = np.bincount(inverse, weights=vals, minlength=unique_rows.shape[0])
+    m = idx.shape[0]
+    if m == 0:
+        return idx.copy(), vals.copy()
+    perm, starts = rowcodes.sort_rows(idx, shape)
+    if starts.shape[0] == m:
+        return np.take(idx, perm, axis=0), np.take(vals, perm)
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[perm] = rowcodes.group_ids(starts, m)
+    summed = np.bincount(inverse, weights=vals, minlength=starts.shape[0])
     return (
-        np.ascontiguousarray(unique_rows, dtype=INDEX_DTYPE),
+        np.take(idx, perm[starts], axis=0),
         summed.astype(VALUE_DTYPE, copy=False),
     )
 

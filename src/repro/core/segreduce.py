@@ -4,7 +4,8 @@ Memoized MTTKRP repeatedly sums groups of ``R``-wide value rows into target
 rows given a *static* source-to-target mapping (the mapping is fixed by the
 tensor's sparsity pattern and the memoization strategy, while the values
 change every sub-iteration).  A :class:`SegmentPlan` pays the sort once, at
-symbolic time, and turns every subsequent reduction into one gather plus one
+symbolic time (or reuses the grouping sort that found the targets), and
+turns every subsequent reduction into one gather plus one
 ``np.add.reduceat`` — both contiguous, vectorized passes.
 """
 
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dtypes import INDEX_ITEMSIZE, as_index_array
+from . import rowcodes
+from .dtypes import INDEX_DTYPE, INDEX_ITEMSIZE, as_index_array
 
 
 class SegmentPlan:
@@ -39,17 +41,32 @@ class SegmentPlan:
         targets = as_index_array(targets)
         if targets.ndim != 1:
             raise ValueError(f"targets must be 1-D, got ndim={targets.ndim}")
-        m = targets.shape[0]
+        perm, starts = rowcodes.sort_codes(targets)
+        self._set(perm, starts, targets[perm[starts]])
+
+    @classmethod
+    def from_sorted(cls, perm: np.ndarray, starts: np.ndarray) -> "SegmentPlan":
+        """Plan from a stable grouping sort already done by the caller.
+
+        ``perm`` brings the sources into group order and ``starts`` holds
+        the group offsets into that order, as
+        :func:`repro.core.rowcodes.sort_rows` returns them.  The group ids
+        are ``0..u-1``: the same plan ``SegmentPlan(inverse)`` builds from
+        the grouping's inverse map, without sorting again.
+        """
+        plan = cls.__new__(cls)
+        plan._set(perm, starts,
+                  np.arange(starts.shape[0], dtype=INDEX_DTYPE))
+        return plan
+
+    def _set(self, perm: np.ndarray, starts: np.ndarray,
+             group_ids: np.ndarray) -> None:
+        m = perm.shape[0]
         self.n_sources = int(m)
-        if m == 0:
-            self.group_ids = targets[:0]
-            self._perm = np.zeros(0, dtype=np.intp)
-            self._starts = np.zeros(0, dtype=np.intp)
-            self.n_segments = 0
-            self._identity = True
-            self._perm_identity = True
-            return
-        perm = np.argsort(targets, kind="stable")
+        self.n_segments = int(starts.shape[0])
+        self.group_ids = group_ids
+        self._perm = perm
+        self._starts = starts
         # Sorted-input fast path: memoization-tree nodes keep their rows in
         # lexicographic order, so a child projecting onto a *prefix* of the
         # parent's modes sees non-decreasing targets — the gather permutation
@@ -57,18 +74,9 @@ class SegmentPlan:
         self._perm_identity = bool(
             np.array_equal(perm, np.arange(m, dtype=perm.dtype))
         )
-        sorted_targets = targets[perm] if not self._perm_identity else targets
-        boundary = np.empty(m, dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_targets[1:], sorted_targets[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        self.group_ids = sorted_targets[starts]
-        self.n_segments = int(starts.shape[0])
         # Identity fast path: every source row its own segment, already in
         # order.  Then reduce() is a no-op view of the input.
         self._identity = self.n_segments == m and self._perm_identity
-        self._perm = perm
-        self._starts = starts
 
     @property
     def perm(self) -> np.ndarray:

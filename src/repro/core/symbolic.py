@@ -93,12 +93,12 @@ class SymbolicTree:
             delta_cols = tuple(parent_modes.index(m) for m in node.delta)
             projected = parent_sym.index[:, keep_cols]
             dims = [self.tensor.shape[m] for m in node.modes]
-            unique_rows, inverse = rowcodes.group_rows(projected, dims)
+            perm, starts = rowcodes.sort_rows(projected, dims)
             self.nodes[nid] = NodeSymbolic(
                 node_id=nid,
                 modes=node.modes,
-                index=np.ascontiguousarray(unique_rows),
-                plan=SegmentPlan(inverse),
+                index=np.take(projected, perm[starts], axis=0),
+                plan=SegmentPlan.from_sorted(perm, starts),
                 delta_parent_cols=delta_cols,
                 delta_modes=node.delta,
             )

@@ -57,14 +57,18 @@ def check_indices_in_bounds(idx: np.ndarray, shape: Sequence[int]) -> None:
             f"coordinate array has {idx.shape[1]} columns but shape has "
             f"{len(shape)} modes"
         )
-    if idx.shape[0] == 0:
+    if idx.size == 0:
         return
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
-    if (lo < 0).any():
-        mode = int(np.argmax(lo < 0))
+    # Whole-array extrema are one vectorized pass; per-mode ones (a strided
+    # pass each) are needed only when the global maximum reaches the
+    # smallest mode size.
+    if idx.min() < 0:
+        mode = int(np.argmax(idx.min(axis=0) < 0))
         raise ValueError(f"negative index in mode {mode}")
-    dims = np.asarray(shape, dtype=idx.dtype)
+    if idx.max() < min(shape):
+        return
+    hi = np.array([idx[:, n].max() for n in range(idx.shape[1])])
+    dims = np.asarray(shape, dtype=hi.dtype)
     if (hi >= dims).any():
         mode = int(np.argmax(hi >= dims))
         raise ValueError(

@@ -144,3 +144,59 @@ class TestSegmentSum:
     def test_dense_bins_1d(self):
         out = segment_sum(np.array([1.0, 2.0, 3.0]), np.array([0, 0, 2]), 3)
         np.testing.assert_allclose(out, [3.0, 0.0, 3.0])
+
+
+# ---------------------------------------------------------------------------
+# SegmentPlan.from_sorted: the grouping sort reused, field by field
+# ---------------------------------------------------------------------------
+
+def _plan_fields(plan):
+    return (plan.n_sources, plan.n_segments, plan.is_identity,
+            plan.has_identity_perm, plan.index_nbytes(),
+            plan.perm.dtype, plan.starts.dtype, plan.group_ids.dtype)
+
+
+class TestFromSorted:
+    @given(
+        st.integers(0, 60).flatmap(lambda m: st.tuples(
+            st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2**40)),
+                     min_size=m, max_size=m),
+            st.sampled_from(["drawn", "sorted", "unique-sorted"]),
+        ))
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_plan_from_inverse(self, case):
+        from repro.core import rowcodes
+
+        rows, order = case
+        idx = np.array(rows, dtype=np.int64).reshape(len(rows), 2)
+        if order != "drawn" and len(rows):
+            idx = idx[np.lexsort(idx.T[::-1])]
+            if order == "unique-sorted":
+                keep = np.ones(idx.shape[0], dtype=bool)
+                keep[1:] = (idx[1:] != idx[:-1]).any(axis=1)
+                idx = idx[keep]
+        dims = [5, 2**40 + 1]
+        perm, starts = rowcodes.sort_rows(idx, dims)
+        _, inverse = rowcodes.group_rows(idx, dims)
+        fast = SegmentPlan.from_sorted(perm, starts)
+        slow = SegmentPlan(inverse)
+        assert _plan_fields(fast) == _plan_fields(slow)
+        assert np.array_equal(fast.perm, slow.perm)
+        assert np.array_equal(fast.starts, slow.starts)
+        assert np.array_equal(fast.group_ids, slow.group_ids)
+        values = np.random.default_rng(0).standard_normal((idx.shape[0], 3))
+        assert fast.reduce(values).tobytes() == slow.reduce(values).tobytes()
+
+    @given(st.lists(st.integers(-50, 2**62), min_size=0, max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_targets_plan_matches_stable_argsort(self, targets):
+        targets = np.array(targets, dtype=np.int64)
+        plan = SegmentPlan(targets)
+        perm = np.argsort(targets, kind="stable")
+        assert np.array_equal(plan.perm, perm)
+        ordered = targets[perm]
+        assert np.array_equal(plan.group_ids, np.unique(targets))
+        assert np.array_equal(ordered[plan.starts], plan.group_ids)
+        assert plan.has_identity_perm == bool(
+            np.array_equal(perm, np.arange(targets.shape[0])))
