@@ -210,6 +210,60 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _engine_factory(args, tensor):
+    """The MTTKRP engine ``decompose``'s execution flags ask for, as a
+    ``cp_als`` engine factory; None leaves ``cp_als`` its sequential
+    memo tree.
+
+    ``--tier auto`` lets the cost model pick tier and layout only for
+    ``--strategy auto`` (and only once a layout or worker count is
+    requested): an explicit strategy always runs that memo tree, on
+    ``--workers`` threads.  ``--tier process`` and ``--tier thread
+    --layout alto`` run the sharded COO engine.
+    """
+    from .model.cost import recommend_execution
+    from .parallel.pool import resolve_worker_count
+
+    def recommend():
+        return recommend_execution(tensor.shape, tensor.nnz, args.rank,
+                                   resolve_worker_count(args.workers))
+
+    tier, layout = args.tier, args.layout
+    auto_strategy = args.strategy.lower() == "auto"
+    if tier == "auto" and auto_strategy and (
+            layout != "auto" or args.workers is not None):
+        rec = recommend()
+        tier = rec.tier
+        if layout == "auto":
+            layout = rec.layout
+        print(f"model picked tier={tier} layout={layout}")
+    if tier == "process":
+        from .parallel.procpool import ProcessMttkrp
+
+        if layout == "auto":
+            layout = recommend().layout
+        return lambda t: ProcessMttkrp(t, args.workers, layout=layout)
+    if tier == "thread" and layout == "alto":
+        from .parallel.procpool import AltoCooMttkrp
+
+        return lambda t: AltoCooMttkrp(t, args.workers)
+    if args.workers is None or args.workers <= 1:
+        return None
+    from .parallel.engine import ParallelMemoizedMttkrp
+
+    def memo_tree(t):
+        strategy = args.strategy
+        if auto_strategy:
+            # The factory bypasses cp_als's own planning path.
+            from .model.planner import plan
+
+            strategy = plan(t, args.rank).best.strategy
+        return ParallelMemoizedMttkrp(t, strategy, n_workers=args.workers,
+                                      min_chunk_rows=args.min_chunk_rows)
+
+    return memo_tree
+
+
 def cmd_decompose(args) -> int:
     tensor = load_input(args.input, args.scale)
     if args.nonneg:
@@ -223,68 +277,21 @@ def cmd_decompose(args) -> int:
     else:
         from .core.cpals import cp_als
 
-        tier, layout = args.tier, args.layout
-        if tier == "auto" and (layout != "auto" or args.workers is not None):
-            # A layout or worker request implies an execution decision:
-            # let the model pick the tier for it.
-            from .model.cost import recommend_execution
-            from .parallel.pool import resolve_worker_count
+        factory = _engine_factory(args, tensor)
+        built: list = []
 
-            rec = recommend_execution(
-                tensor.shape, tensor.nnz, args.rank,
-                resolve_worker_count(args.workers),
-            )
-            tier = rec.tier
-            if layout == "auto":
-                layout = rec.layout
-            print(f"model picked tier={tier} layout={layout}")
-        closeables: list = []
-        engine_factory = None
-        if tier == "process":
-            from .model.cost import recommend_execution
-            from .parallel.pool import resolve_worker_count
-            from .parallel.procpool import ProcessMttkrp
-
-            def engine_factory(t, _layout=layout):
-                if _layout == "auto":
-                    _layout = recommend_execution(
-                        t.shape, t.nnz, args.rank,
-                        resolve_worker_count(args.workers),
-                    ).layout
-                engine = ProcessMttkrp(t, args.workers, layout=_layout)
-                closeables.append(engine)
-                return engine
-        elif tier == "thread" and layout == "alto":
-            from .parallel.procpool import AltoCooMttkrp
-
-            def engine_factory(t):
-                engine = AltoCooMttkrp(t, args.workers)
-                closeables.append(engine)
-                return engine
-        elif args.workers is not None and args.workers > 1:
-            # Parallel memoized engine: resolve 'auto' through the planner
-            # here, since engine_factory bypasses cp_als's own planning path.
-            def engine_factory(t, _w=args.workers):
-                from .parallel.engine import ParallelMemoizedMttkrp
-
-                strategy = args.strategy
-                if isinstance(strategy, str) and strategy.lower() == "auto":
-                    from .model.planner import plan
-
-                    strategy = plan(t, args.rank).best.strategy
-                return ParallelMemoizedMttkrp(
-                    t, strategy, n_workers=_w,
-                    min_chunk_rows=args.min_chunk_rows,
-                )
+        def build(t):
+            built.append(factory(t))
+            return built[-1]
 
         try:
             result = cp_als(
                 tensor, args.rank, strategy=args.strategy,
                 n_iter_max=args.iters, tol=args.tol, random_state=args.seed,
-                engine_factory=engine_factory,
+                engine_factory=build if factory is not None else None,
             )
         finally:
-            for engine in closeables:
+            for engine in built:
                 engine.close()
     print(f"strategy   : {result.strategy_name}")
     print(f"iterations : {result.n_iterations} (converged={result.converged})")

@@ -204,7 +204,6 @@ def _cp_als_run(tensor: CooTensor, rank: int, *, strategy, n_iter_max,
     t0 = time.perf_counter()
     if engine_factory is not None:
         engine = engine_factory(tensor)
-        strategy_name = getattr(engine, "name", type(engine).__name__)
     else:
         if isinstance(strategy, str) and strategy.lower() == "auto":
             from ..model.planner import plan
@@ -214,12 +213,14 @@ def _cp_als_run(tensor: CooTensor, rank: int, *, strategy, n_iter_max,
         else:
             chosen = strategy
         engine = MemoizedMttkrp(tensor, chosen)
-        strategy_name = engine.strategy.name
+    memoized = isinstance(engine, MemoizedMttkrp)
+    strategy_name = (engine.strategy.name if memoized
+                     else getattr(engine, "name", type(engine).__name__))
     engine.set_factors(factors)
     setup_time = time.perf_counter() - t0
     ctx.meta.setdefault("strategy", strategy_name)
     observer = _seam.run_observer(
-        tensor, rank, engine, memoized=isinstance(engine, MemoizedMttkrp),
+        tensor, rank, engine, memoized=memoized,
         watchdog=watchdog, strategy_name=strategy_name,
         n_iter_max=n_iter_max, tol=tol,
     )

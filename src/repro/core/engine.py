@@ -9,11 +9,13 @@ factor-row gather, Hadamard product, segmented sum.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from ..kernels import RebuildContext, WorkspaceArena, get_kernel
+from ..kernels.workspace import value_matrix
 from ..obs import seam as _seam
 from ..obs import trace as _trace
 from ..obs.metrics import registry as _metrics
@@ -62,10 +64,25 @@ class MemoizedMttkrp:
         only in execution; every backend produces the same values (see the
         parity contract in ``docs/performance.md``) and identical perf
         counters.
+    pool:
+        optional worker pool (anything with ``n_workers`` and an ordered
+        ``run(thunks)``, e.g. :class:`repro.parallel.WorkerPool`).  A node
+        rebuild splits into up to one chunk per worker, each of at least
+        :attr:`min_chunk_rows` parent rows, along *segment boundaries* of
+        its reduction plan, so every task writes a disjoint range of the
+        node's output rows:
+        no write conflicts, no reduction pass, and the result bits of the
+        sequential rebuild.  ``None`` rebuilds every node inline.  The
+        engine does not close a pool it was given (see :meth:`close`).
     """
 
+    #: fewest parent rows per chunk of a pooled rebuild — below it,
+    #: thread dispatch costs more than the kernel itself.
+    min_chunk_rows = 16_384
+
     def __init__(self, tensor: CooTensor, strategy, factors=None, *,
-                 symbolic: SymbolicTree | None = None, kernel=None):
+                 symbolic: SymbolicTree | None = None, kernel=None,
+                 pool=None):
         self.tensor = tensor
         self.strategy: MemoStrategy = resolve_strategy(strategy, tensor.ndim)
         if symbolic is not None:
@@ -85,6 +102,12 @@ class MemoizedMttkrp:
         self._rank: int | None = None
         self._root_vals: np.ndarray = tensor.vals
         self._kernel = get_kernel(kernel)
+        # Chunked rebuilds need ``rebuild_chunk``; backends without it
+        # (``numba`` parallelizes inside the node) chunk on ``numpy``.
+        self._chunk_kernel = (self._kernel if self._kernel.supports_chunks
+                              else get_kernel("numpy"))
+        self.pool = pool
+        self._own_pool = False
         self._arena = WorkspaceArena()
         if factors is not None:
             self.set_factors(factors)
@@ -131,6 +154,8 @@ class MemoizedMttkrp:
 
     def _prepare_kernel(self) -> None:
         self._kernel.prepare(self.symbolic, self.rank)
+        if self.pool is not None and self._chunk_kernel is not self._kernel:
+            self._chunk_kernel.prepare(self.symbolic, self.rank)
 
     def update_factor(self, mode: int, U: np.ndarray) -> None:
         """Replace one factor; invalidates nodes contracted with ``mode``."""
@@ -314,19 +339,75 @@ class MemoizedMttkrp:
         return result
 
     def _rebuild_plan(self, node_id: int, ctx: RebuildContext):
-        """``(run, attrs)``: ``run(traced)`` executes the rebuild and
-        ``attrs`` are extra span/event fields.  Subclasses change only
-        this; the telemetry around it stays in :meth:`_compute_node`."""
-        kernel = self._kernel
+        """``(run, attrs)``: ``run(traced)`` executes the rebuild, inline
+        or fanned out over the pool, and ``attrs`` are extra span/event
+        fields; the telemetry around it stays in :meth:`_compute_node`.
+
+        Traced, either way the rebuild is one ``kernel`` span (backend,
+        node); a fan-out nests a ``kernel_chunk`` span per chunk under
+        it, inside the pool's ``pool_task`` spans."""
+        plan = ctx.sym.plan
+        chunks = []
+        if self.pool is not None and plan is not None:
+            n_chunks = min(self.pool.n_workers,
+                           max(1, plan.n_sources // self.min_chunk_rows))
+            if n_chunks > 1:
+                chunks = plan.chunks(n_chunks)
+        if len(chunks) <= 1:
+            kernel = self._kernel
+
+            def rebuild(traced: bool) -> np.ndarray:
+                return kernel.rebuild(ctx)
+
+            attrs = {}
+        else:
+            kernel = self._chunk_kernel
+            out = value_matrix(ctx.sym.nnz, self.rank)
+
+            def chunk(s, g, traced: bool) -> None:
+                if not traced:
+                    return kernel.rebuild_chunk(ctx, s, g, out)
+                with _trace.span("kernel_chunk", backend=kernel.name,
+                                 node=node_id):
+                    kernel.rebuild_chunk(ctx, s, g, out)
+
+            def rebuild(traced: bool) -> np.ndarray:
+                self.pool.run([functools.partial(chunk, s, g, traced)
+                               for s, g in chunks])
+                return out
+
+            attrs = {"chunks": len(chunks)}
 
         def run(traced: bool) -> np.ndarray:
             if not traced:
-                return kernel.rebuild(ctx)
+                return rebuild(False)
             # A kernel span separates the backend's time from the engine's.
             with _trace.span("kernel", backend=kernel.name, node=node_id):
-                return kernel.rebuild(ctx)
+                result = rebuild(True)
+            if attrs:
+                # Chunked rebuilds grow per-worker arena buffers; refresh
+                # the workspace gauge so the peak is visible even between
+                # mttkrp span boundaries.
+                self._publish_memory_gauges()
+            return result
 
-        return run, {}
+        return run, attrs
+
+    def close(self) -> None:
+        """Close the pool if the engine owns it, and drop this engine's
+        entries from the memory tracker so its live total stays true
+        (pool engines are commonly short-lived context managers)."""
+        if self._own_pool:
+            self.pool.close()
+        tracker = _seam.node_tracker()
+        if tracker is not None:
+            tracker.release_engine(id(self))
+
+    def __enter__(self) -> "MemoizedMttkrp":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def workspace_nbytes(self) -> int:
         """Bytes currently held by the kernel workspace arena."""

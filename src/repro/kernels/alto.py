@@ -11,22 +11,23 @@ is two integer ops per recovered coordinate — a flops-for-words trade the
 cost model (:func:`repro.model.cost.execution_candidates`) scores per
 tensor, Dynasor-style, instead of hard-coding either layout.
 
-Three consumers:
+Two consumers:
 
 * :class:`AltoKernel` — a registry backend (``REPRO_KERNEL=alto``) for
-  the memoized engines: packs each node's delta-mode gather arrays into
+  the memoized engine: packs each node's delta-mode gather arrays into
   one code array (cached on the :class:`~repro.kernels.indices
   .NodeKernelIndex`) and decodes per cache-sized block.  Bitwise
   identical to ``numpy`` — the decoded integers are exactly the cached
   gather values, so every float op sees identical inputs in identical
   order.
-* :class:`~repro.parallel.procpool.AltoCooMttkrp` — the thread-tier COO
-  baseline on packed codes.
-* :class:`~repro.parallel.procpool.ProcessMttkrp` with ``layout="alto"``
-  — ships one code array instead of an index *matrix* through shared
-  memory, and uses :func:`aligned_chunks` to snap shard boundaries to
-  linearization ranges: no mode-0 output row spans two shards, so shards
-  accumulate the leading mode conflict-free without partials.
+* :class:`~repro.parallel.procpool.ShardedCooMttkrp` with
+  ``layout="alto"``, the one COO engine on either tier: its shard task
+  decodes columns from one code array instead of reading an index
+  *matrix* (on the process tier the codes are what shared memory
+  holds).  Shards of both layouts come from :func:`aligned_chunks`,
+  which snaps contiguous nonzero ranges to linearization ranges: no
+  mode-0 output row spans two shards, so shards accumulate the leading
+  mode conflict-free without partials.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dtypes import INDEX_DTYPE
+from ..core.validate import check_positive_int
 from .backends import NumpyKernel, RebuildContext
 
 __all__ = [
     "AltoEncoding", "AltoKernel", "PackedGather",
-    "alto_bits", "fits_alto", "aligned_chunks",
+    "alto_bits", "fits_alto", "aligned_chunks", "contiguous_chunks",
 ]
 
 #: bit budget for one packed code (uint64 storage, int64-safe range).
@@ -129,6 +131,18 @@ class AltoEncoding:
                 f"nnz={self.nnz})")
 
 
+def contiguous_chunks(n: int, k: int) -> list[tuple[int, int]]:
+    """Split ``range(n)`` into ``k`` near-equal contiguous half-open ranges.
+
+    Ranges may be empty when ``k > n``; their count is always exactly ``k``.
+    """
+    check_positive_int(k, "k")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    bounds = np.linspace(0, n, k + 1).astype(int)
+    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(k)]
+
+
 def aligned_chunks(mode0: np.ndarray, k: int) -> list[tuple[int, int]]:
     """``k`` contiguous nonzero ranges snapped to mode-0 boundaries.
 
@@ -138,8 +152,6 @@ def aligned_chunks(mode0: np.ndarray, k: int) -> list[tuple[int, int]]:
     written by two shards: shard accumulation is conflict-free.  Empty
     ranges (heavy slices swallowing a boundary) are dropped.
     """
-    from ..parallel.partition import contiguous_chunks
-
     n = int(mode0.shape[0])
     bounds = sorted({
         0, n, *(
@@ -195,7 +207,3 @@ class AltoKernel(NumpyKernel):
             return super()._block_gathers(ctx, ki)
         return packed.decode
 
-
-# The thread-tier COO backend on packed codes (AltoCooMttkrp) lives in
-# repro.parallel.procpool: parallel already depends on kernels, never the
-# reverse.

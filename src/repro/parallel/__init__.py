@@ -1,31 +1,26 @@
-"""Shared-memory multicore runtime: partitioning, pools, scaling models."""
+"""Shared-memory multicore runtime: pools, the sharded COO engine,
+scaling models."""
 
+from ..kernels.alto import contiguous_chunks
 from .engine import ParallelMemoizedMttkrp
-from .partition import (contiguous_chunks, greedy_partition,
-                        partition_balance, partition_nonzeros,
-                        partition_slices)
-from .pool import (ParallelCooMttkrp, WorkerPool, default_workers,
-                   resolve_worker_count)
-from .procpool import AltoCooMttkrp, ProcessMttkrp, ProcessPool
+from .pool import PoolBase, WorkerPool, default_workers, resolve_worker_count
+from .procpool import (AltoCooMttkrp, ParallelCooMttkrp, ProcessMttkrp,
+                       ProcessPool, ShardedCooMttkrp)
 from .shm import SharedArrayGroup, SharedArraySpec
-from .slicepar import SliceParallelMttkrp
 from .simulate import (ScalingParams, load_imbalance, simulate_parallel_time,
                        simulate_speedup_curve)
 
 __all__ = [
     "ParallelMemoizedMttkrp",
     "contiguous_chunks",
-    "greedy_partition",
-    "partition_balance",
-    "partition_nonzeros",
-    "partition_slices",
     "AltoCooMttkrp",
     "ParallelCooMttkrp",
+    "PoolBase",
     "ProcessMttkrp",
     "ProcessPool",
     "SharedArrayGroup",
     "SharedArraySpec",
-    "SliceParallelMttkrp",
+    "ShardedCooMttkrp",
     "WorkerPool",
     "default_workers",
     "resolve_worker_count",

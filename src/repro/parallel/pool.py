@@ -1,9 +1,12 @@
-"""Thread-pool execution of MTTKRP kernels.
+"""Worker pools: the worker-count rule, the base both tiers share, and
+the thread pool.
 
 NumPy's heavy kernels (fancy gathers, element-wise multiplies, ``reduceat``)
 release the GIL, so a thread pool yields real concurrency on the memory-bound
 inner loops without the serialization cost of multiprocessing.  The pool is
-deliberately thin: submit a list of thunks, collect results in order.
+deliberately thin: submit a list of thunks, collect results in order.  The
+process pool (:mod:`repro.parallel.procpool`) shares its base: the inline
+path, lane ids, the ``pool.imbalance`` gauge and ``close``.
 """
 
 from __future__ import annotations
@@ -13,21 +16,13 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-import numpy as np
-
-from ..core.coo import CooTensor
-from ..core.dtypes import VALUE_DTYPE
-from ..core.validate import check_mode, check_positive_int
-from ..baselines.base import MttkrpBackend
-from ..kernels.shard import coo_mttkrp_shard
-from ..kernels.workspace import WorkspaceArena
+from ..core.validate import check_positive_int
 from ..obs import profiler as _profiler
 from ..obs import trace as _trace
 from ..obs.metrics import registry as _metrics
 from ..obs.switch import current_run
-from .partition import partition_nonzeros
 
 
 def _env_workers() -> int | None:
@@ -111,86 +106,48 @@ def default_workers() -> int:
     return resolve_worker_count(None)
 
 
-class WorkerPool:
-    """A reusable thread pool with ordered map semantics.
+class PoolBase:
+    """What both tiers' pools share: ordered results, the inline path,
+    stable lane ids, the ``pool.imbalance`` gauge and ``close``.
 
-    With ``n_workers=1`` everything runs inline (no threads), which keeps
-    single-worker baselines overhead-free and deterministic for profiling.
+    ``tier`` names the tier (``"thread"`` or ``"process"``); engines read
+    it to decide how tasks reach the workers.  ``_lane_key`` says what a
+    lane is: the thread that ran the task, or its process.
     """
 
-    def __init__(self, n_workers: int | None = None):
-        # Explicit thread counts are honored even past the cpu count
-        # (threads oversubscribe harmlessly); env/default counts go
-        # through the shared resolution + clamp.
-        if n_workers is not None:
-            self.n_workers = check_positive_int(n_workers, "n_workers")
-        else:
-            self.n_workers = resolve_worker_count(None)
-        self._executor: ThreadPoolExecutor | None = None
-        if self.n_workers > 1:
-            self._executor = ThreadPoolExecutor(max_workers=self.n_workers)
-        # Stable small worker ids (0..n-1) keyed by thread ident, assigned
-        # first-seen: the inline path runs on the submitting thread, which
-        # therefore gets id 0 — identical span shape to a one-thread pool.
-        self._worker_ids: dict[int, int] = {}
-        self._worker_lock = threading.Lock()
+    tier = "abstract"
+    _lane_key = staticmethod(threading.get_ident)
 
-    def _worker_id(self) -> int:
-        ident = threading.get_ident()
-        with self._worker_lock:
-            wid = self._worker_ids.get(ident)
-            if wid is None:
-                wid = self._worker_ids[ident] = len(self._worker_ids)
-                # Once per thread: folded profiler stacks carry the same
-                # lane id as this thread's pool_task spans.
-                _profiler.label_thread(ident, f"worker-{wid}")
-            return wid
+    def __init__(self, n_workers: int):
+        self.n_workers = n_workers
+        self._executor = None
+        # Stable small lane ids (0..n-1), assigned first-seen: the inline
+        # path runs on the submitting thread, which therefore gets id 0 —
+        # identical span shape to a one-worker pool.
+        self._lanes: dict[int, int] = {}
+        self._lanes_lock = threading.Lock()
 
-    def run(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
-        """Execute thunks, returning their results in submission order.
+    def _lane(self, key: int) -> int:
+        with self._lanes_lock:
+            lane = self._lanes.get(key)
+            if lane is None:
+                lane = self._lanes[key] = len(self._lanes)
+                self._new_lane(key, lane)
+            return lane
 
-        When tracing is enabled, each task runs inside a copy of the
-        submitting thread's :mod:`contextvars` context wrapped in a
-        ``pool_task`` span carrying ``index``, ``worker`` (stable lane id),
-        ``queue_wait`` (seconds between submit and start; exactly 0.0
-        on the inline path), and ``source="measured"`` (threads are timed
-        directly, never synthesized), so worker-thread spans (and any
-        context-local
-        counters) nest under the caller's current span and
-        :mod:`repro.obs.utilization` can reconstruct per-worker timelines.
-        Each traced fan-out of >=2 tasks also publishes the
-        ``pool.imbalance`` gauge (max/mean task seconds).  The traced path
-        is entirely skipped while tracing is off.
-        """
-        if self._executor is None or len(tasks) <= 1:
-            if _trace.enabled():
-                durations: list[float] = []
-                results = [
-                    self._run_span(t, i, None, durations)
-                    for i, t in enumerate(tasks)
-                ]
-                self._publish_imbalance(durations)
-                return results
+    def _new_lane(self, key: int, lane: int) -> None:
+        """Hook run once per lane, when its key is first seen."""
+
+    def _run_inline(self, tasks: Sequence[Callable[[], object]]) -> list:
+        """Run thunks on the calling thread, in order; traced, each gets a
+        ``pool_task`` span with ``queue_wait`` exactly 0.0."""
+        if not _trace.enabled():
             return [t() for t in tasks]
-        if _trace.enabled() or current_run() is not None:
-            # One context copy per task: a Context cannot be entered by two
-            # threads at once, and the copy carries the parent span id and
-            # the active run context (so worker-thread events/metrics land
-            # in the right run even when tracing itself is off).
-            durations = []
-            tracer = _trace.get_tracer()
-            futures = [
-                self._executor.submit(
-                    contextvars.copy_context().run, self._run_span, t, i,
-                    tracer.now(), durations
-                )
-                for i, t in enumerate(tasks)
-            ]
-            results = [f.result() for f in futures]
-            self._publish_imbalance(durations)
-            return results
-        futures = [self._executor.submit(t) for t in tasks]
-        return [f.result() for f in futures]
+        durations: list[float] = []
+        results = [self._run_span(t, i, None, durations)
+                   for i, t in enumerate(tasks)]
+        self._publish_imbalance(durations)
+        return results
 
     def _run_span(self, task: Callable[[], object], index: int,
                   t_submit: float | None,
@@ -201,7 +158,7 @@ class WorkerPool:
             if t_submit is not None else 0.0
         )
         with _trace.span(
-            "pool_task", index=index, worker=self._worker_id(),
+            "pool_task", index=index, worker=self._lane(self._lane_key()),
             queue_wait=queue_wait, source="measured",
         ) as rec:
             result = task()
@@ -222,80 +179,72 @@ class WorkerPool:
             self._executor.shutdown(wait=True)
             self._executor = None
 
-    def __enter__(self) -> "WorkerPool":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
 
-class ParallelCooMttkrp(MttkrpBackend):
-    """Nonzero-parallel COO MTTKRP: chunk, partial-accumulate, reduce.
+class WorkerPool(PoolBase):
+    """A reusable thread pool with ordered map semantics.
 
-    Each worker runs the shared shard kernel
-    (:func:`~repro.kernels.shard.coo_mttkrp_shard`) on a contiguous nonzero
-    range, scattering into a private ``I_n x R`` partial; partials are
-    summed (the distributive-TTV property).  This is the shared-memory
-    algorithm of the paper's multicore evaluation, with the reduction taking
-    the role of the atomic/privatized accumulation in the C implementation.
+    With ``n_workers=1`` everything runs inline (no threads), which keeps
+    single-worker baselines overhead-free and deterministic for profiling.
     """
 
-    name = "parallel-coo"
+    tier = "thread"
 
-    def __init__(self, tensor: CooTensor, n_workers: int | None = None,
-                 pool: WorkerPool | None = None):
-        super().__init__(tensor)
-        self._own_pool = pool is None
-        self.pool = pool or WorkerPool(n_workers)
-        self.chunks = [
-            (lo, hi) for lo, hi in partition_nonzeros(tensor, self.pool.n_workers)
-            if hi > lo
-        ]
-        self._arena = WorkspaceArena()
-
-    def close(self) -> None:
-        self._arena.clear()
-        if self._own_pool:
-            self.pool.close()
-
-    def __enter__(self) -> "ParallelCooMttkrp":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _column(self, mode: int, lo: int, hi: int) -> np.ndarray:
-        """Mode ``mode``'s coordinates of nonzeros ``lo:hi``."""
-        return self.tensor.idx[lo:hi, mode]
-
-    def _partial(self, lo: int, hi: int, mode: int) -> np.ndarray:
-        tensor = self.tensor
-        out = np.zeros((tensor.shape[mode], self.rank), dtype=VALUE_DTYPE)
-        coo_mttkrp_shard(
-            out, self._column(mode, lo, hi),
-            ((self.factors[m], self._column(m, lo, hi))
-             for m in range(tensor.ndim) if m != mode),
-            tensor.vals[lo:hi], self._arena,
+    def __init__(self, n_workers: int | None = None):
+        # Explicit thread counts are honored even past the cpu count
+        # (threads oversubscribe harmlessly); env/default counts go
+        # through the shared resolution + clamp.
+        super().__init__(
+            check_positive_int(n_workers, "n_workers")
+            if n_workers is not None else resolve_worker_count(None)
         )
-        return out
+        if self.n_workers > 1:
+            self._executor = ThreadPoolExecutor(max_workers=self.n_workers)
 
-    def mttkrp(self, mode: int) -> np.ndarray:
-        mode = check_mode(mode, self.tensor.ndim)
-        if self.tensor.nnz == 0:
-            return np.zeros(
-                (self.tensor.shape[mode], self.rank), dtype=VALUE_DTYPE
-            )
-        # One kernel span per mode with the attrs the roofline attribution
-        # pass prices (`repro.obs.roofline`): backend names the layout,
-        # mode+nnz select the cost model's per-mode flop/word terms.
-        with _trace.span("kernel", backend=self.name, mode=mode,
-                         nnz=self.tensor.nnz):
-            tasks = [
-                (lambda lo=lo, hi=hi: self._partial(lo, hi, mode))
-                for lo, hi in self.chunks
+    def _new_lane(self, key: int, lane: int) -> None:
+        # Folded profiler stacks carry the same lane id as this thread's
+        # pool_task spans.
+        _profiler.label_thread(key, f"worker-{lane}")
+
+    def run(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
+        """Execute thunks, returning their results in submission order.
+
+        When tracing is enabled, each task runs inside a copy of the
+        submitting thread's :mod:`contextvars` context wrapped in a
+        ``pool_task`` span carrying ``index``, ``worker`` (stable lane id),
+        ``queue_wait`` (seconds between submit and start; exactly 0.0
+        on the inline path), and ``source="measured"`` (threads are timed
+        directly, never synthesized), so worker-thread spans (and any
+        context-local
+        counters) nest under the caller's current span and
+        :mod:`repro.obs.utilization` can reconstruct per-worker timelines.
+        Each traced fan-out of >=2 tasks also publishes the
+        ``pool.imbalance`` gauge (max/mean task seconds).  The traced path
+        is entirely skipped while tracing is off.
+        """
+        if self._executor is None or len(tasks) <= 1:
+            return self._run_inline(tasks)
+        if _trace.enabled() or current_run() is not None:
+            # One context copy per task: a Context cannot be entered by two
+            # threads at once, and the copy carries the parent span id and
+            # the active run context (so worker-thread events/metrics land
+            # in the right run even when tracing itself is off).
+            durations: list[float] = []
+            tracer = _trace.get_tracer()
+            futures = [
+                self._executor.submit(
+                    contextvars.copy_context().run, self._run_span, t, i,
+                    tracer.now(), durations
+                )
+                for i, t in enumerate(tasks)
             ]
-            partials = self.pool.run(tasks)
-            out = partials[0]
-            for p in partials[1:]:
-                out += p
-        return out
+            results = [f.result() for f in futures]
+            self._publish_imbalance(durations)
+            return results
+        futures = [self._executor.submit(t) for t in tasks]
+        return [f.result() for f in futures]

@@ -1,32 +1,36 @@
-"""Process-parallel sharded MTTKRP: true multicore past the GIL.
+"""One sharded COO MTTKRP engine on either tier, and the process pool.
 
-The thread tier (:mod:`repro.parallel.pool`) only scales where NumPy
-releases the GIL; the interpreter sections between kernels serialize, and
-E8 plateaus well below the core count.  This module adds the tier the
-paper's multicore evaluation actually corresponds to: worker *processes*,
-each owning a contiguous shard of the nonzero space.
+The thread tier (:class:`~repro.parallel.pool.WorkerPool`) only scales
+where NumPy releases the GIL; the interpreter sections between kernels
+serialize, and E8 plateaus well below the core count.  The process tier
+is the one the paper's multicore evaluation actually corresponds to:
+worker *processes*, each owning a contiguous shard of the nonzero space.
+:class:`ShardedCooMttkrp` runs on either, with one shard rule, one shard
+task and one reduction:
 
-Zero-copy data plane (:mod:`repro.parallel.shm`): the tensor's indices
-(or its bit-packed ALTO codes), values, factor matrices, and the
-per-shard partial accumulators all live in ``multiprocessing.shared_memory``
-segments owned by the parent.  A dispatch pickles only segment *specs* and
-shard bounds — a few hundred bytes per MTTKRP regardless of tensor size.
-Factor updates are a parent-side ``copyto`` into the mapped segment.
-
-Shard boundaries come from :func:`repro.kernels.alto.aligned_chunks`:
-snapped to leading-mode linearization ranges, so mode-0 shards write
-disjoint rows of a single shared output (conflict-free, no partials) and
-other modes reduce per-shard slabs in fixed shard order — deterministic,
-and bitwise-identical between the ``numpy`` and ``alto`` layouts (the
-decoded coordinates are equal integers, so every float op sees identical
-inputs in identical order).
+* shards come from :func:`repro.kernels.alto.aligned_chunks`: snapped to
+  leading-mode boundaries, so mode-0 shards write disjoint rows of one
+  output (conflict-free, no partials) and other modes reduce per-shard
+  slabs in fixed shard order.  The result depends on the tensor, the
+  factors and the shard count only — not on the tier or the layout;
+* the shard task reads its columns from the index matrix
+  (``layout="numpy"``) or decodes them from one packed ALTO code per
+  nonzero (``layout="alto"``; the decoded coordinates are equal
+  integers, so every float op sees identical inputs in identical order);
+* the data plane — index matrix or codes, values, factors, output slabs —
+  is preallocated once: plain arrays on the thread tier,
+  ``multiprocessing.shared_memory`` segments (:mod:`repro.parallel.shm`)
+  on the process tier.  A process dispatch pickles only segment *specs*
+  and shard bounds — a few hundred bytes per MTTKRP regardless of tensor
+  size.  Factor updates are a ``copyto`` into the plane.
 
 Instrumentation keeps the thread tier's exact shape: one ``pool_task``
 span per shard (``index`` / ``worker`` / ``queue_wait`` / ``source``,
 lanes keyed by worker pid first-seen), the ``pool.imbalance`` gauge per
-fan-out, and a structured ``repro-events/v1`` warning + automatic
-thread-tier fallback when a worker process dies mid-shard
-(:class:`ProcessMttkrp` never hangs on a broken pool).
+fan-out, and a structured ``repro-events/v1`` warning when a worker
+process dies mid-shard; the engine then swaps its process pool for a
+thread pool over the same plane and shards, so it never hangs on a
+broken pool and its results do not change.
 
 When the parent is tracing, workers are no longer a telemetry black box:
 each task runs under a worker-local scoped
@@ -46,6 +50,7 @@ was measured.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import threading
@@ -68,12 +73,12 @@ from ..obs import events as _events
 from ..obs import profiler as _profiler
 from ..obs import trace as _trace
 from ..obs.metrics import registry as _metrics
-from .pool import ParallelCooMttkrp, resolve_worker_count
+from .pool import PoolBase, WorkerPool, resolve_worker_count
 from .shm import SharedArrayGroup, attach_array
 
 __all__ = [
-    "ProcessPool", "ProcessMttkrp", "AltoCooMttkrp",
-    "default_start_method",
+    "ProcessPool", "ShardedCooMttkrp", "ParallelCooMttkrp",
+    "AltoCooMttkrp", "ProcessMttkrp", "default_start_method",
 ]
 
 
@@ -142,35 +147,36 @@ def _timed_call(fn: Callable, args: tuple, capture: bool = False,
     return result, t1 - t0, os.getpid(), payload
 
 
-class ProcessPool:
+class ProcessPool(PoolBase):
     """Persistent worker processes with ordered map semantics.
 
-    The sibling of :class:`~repro.parallel.pool.WorkerPool`: same
-    ``run``-a-list-of-tasks interface (tasks are ``(fn, args)`` pairs with
-    a module-level picklable ``fn``), same inline degrade at one worker,
-    same ``pool_task`` span shape — spans are synthesized in the parent
-    from worker-reported durations, with ``queue_wait`` the gap between
-    submission and the task's reconstructed start.  Worker counts resolve
-    through :func:`~repro.parallel.pool.resolve_worker_count` with
+    The sibling of :class:`~repro.parallel.pool.WorkerPool` on the same
+    base: tasks are ``(fn, args)`` pairs with a module-level picklable
+    ``fn``, one worker (or one task) runs inline, and the ``pool_task``
+    span shape is the thread tier's — spans are rebuilt in the parent from
+    worker-reported stamps, with ``queue_wait`` the gap between submission
+    and the task's start, and lanes keyed by worker pid.  Worker counts
+    resolve through :func:`~repro.parallel.pool.resolve_worker_count` with
     clamping on (a surplus *process* burns a core; set
     ``REPRO_ALLOW_OVERSUBSCRIBE=1`` or ``allow_oversubscribe=True`` for
     deliberate sweeps).
     """
 
+    tier = "process"
+    _lane_key = staticmethod(os.getpid)
+
     def __init__(self, n_workers: int | None = None, *,
                  allow_oversubscribe: bool | None = None,
                  start_method: str | None = None, capture: bool = True):
-        self.n_workers = resolve_worker_count(
+        super().__init__(resolve_worker_count(
             n_workers, clamp=True, allow_oversubscribe=allow_oversubscribe,
-            tier="process",
-        )
+            tier=self.tier,
+        ))
         self.start_method = start_method or default_start_method()
         #: ship worker-interior spans back when the parent traces; set
         #: False to keep the pre-PR-7 synthesized spans (the overhead
         #: benchmark compares the two).
         self.capture = bool(capture)
-        self._executor: ProcessPoolExecutor | None = None
-        self._lanes: dict[int, int] = {}
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -180,12 +186,6 @@ class ProcessPool:
             )
         return self._executor
 
-    def _lane(self, pid: int) -> int:
-        lane = self._lanes.get(pid)
-        if lane is None:
-            lane = self._lanes[pid] = len(self._lanes)
-        return lane
-
     def run(self, calls: Sequence[tuple[Callable, tuple]]) -> list:
         """Execute ``(fn, args)`` pairs, results in submission order.
 
@@ -193,16 +193,9 @@ class ProcessPool:
         a worker dies mid-task — callers decide the fallback policy.
         """
         if self.n_workers == 1 or len(calls) <= 1:
-            results = []
-            durations = []
-            for i, (fn, args) in enumerate(calls):
-                with _trace.span("pool_task", index=i, worker=0,
-                                 queue_wait=0.0, source="measured") as rec:
-                    results.append(fn(*args))
-                if rec is not None:
-                    durations.append(rec.duration)
-            self._publish_imbalance(durations)
-            return results
+            return self._run_inline(
+                [functools.partial(fn, *args) for fn, args in calls]
+            )
         executor = self._ensure_executor()
         traced = _trace.enabled()
         capture = traced and self.capture
@@ -272,94 +265,85 @@ class ProcessPool:
         self._publish_imbalance(durations)
         return results
 
-    @staticmethod
-    def _publish_imbalance(durations: list[float]) -> None:
-        if len(durations) < 2:
-            return
-        mean = sum(durations) / len(durations)
-        if mean > 0:
-            _metrics.set_gauge("pool.imbalance", max(durations) / mean)
 
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ProcessPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-# -- worker-side shard kernel (module-level: picklable under spawn) ---------
+# -- the shard task (module-level: picklable under spawn) -------------------
 
 #: the shard kernel's scratch in a worker process, kept across tasks.
 _WORKER_ARENA = WorkspaceArena()
 
 
-def _mttkrp_shard(specs, layout, shape, mode, lo, hi, shard):
-    """One shard's partial MTTKRP, accumulated into shared memory.
+def _array(entry) -> np.ndarray:
+    """A plane entry as an array: in the engine's own process entries are
+    arrays; a worker process receives shared-segment specs and maps them."""
+    return entry if isinstance(entry, np.ndarray) else attach_array(entry)
 
-    Runs the kernel every COO engine shares
-    (:func:`~repro.kernels.shard.coo_mttkrp_shard`), so float operation
-    order matches :meth:`~repro.parallel.pool.ParallelCooMttkrp._partial`
-    exactly.  Mode 0 writes straight into the shared output — shards are
-    aligned to leading-mode boundaries, so writes never overlap; other
-    modes fill this shard's private slab for the parent's ordered
-    reduction.
+
+def _mttkrp_shard(plane, layout, shape, mode, lo, hi, shard, arena=None):
+    """One shard's MTTKRP, accumulated into the plane's output slabs.
+
+    ``plane`` maps ``idx`` (or ALTO ``codes``), ``vals``, ``factor<m>``,
+    ``out0`` and ``partials`` to arrays or shared-segment specs.  Every
+    COO engine runs the same kernel
+    (:func:`~repro.kernels.shard.coo_mttkrp_shard`).  Mode 0 writes
+    straight into ``out0`` — shards are aligned to leading-mode
+    boundaries, so writes never overlap; other modes fill this shard's
+    private slab for the engine's ordered reduction.
     """
     if layout == "alto":
-        enc = AltoEncoding(shape, attach_array(specs["codes"]))
+        enc = AltoEncoding(shape, _array(plane["codes"]))
 
         def column(m):
             with _trace.span("alto_decode", mode=m, nnz=hi - lo):
                 return enc.decode(m, lo, hi)
     else:
-        idx = attach_array(specs["idx"])
+        idx = _array(plane["idx"])
 
         def column(m):
             return idx[lo:hi, m]
 
+    factors = [_array(plane[f"factor{m}"]) for m in range(len(shape))]
+    gathers = [(factors[m], column(m))
+               for m in range(len(shape)) if m != mode]
+    target = column(mode)
+    with _trace.span("kernel_chunk", phase="gather_scatter", lo=lo, hi=hi):
+        if mode == 0:
+            out = _array(plane["out0"])
+        else:
+            out = _array(plane["partials"])[shard, : shape[mode]]
+            out.fill(0.0)
+        coo_mttkrp_shard(out, target, gathers, _array(plane["vals"])[lo:hi],
+                         _WORKER_ARENA if arena is None else arena)
+    return True
+
+
+def _process_shard(plane, layout, shape, mode, lo, hi, shard, arena=None):
+    """The process tier's task: one shard under its own ``kernel`` span,
+    recorded where the shard runs (``nnz`` is the shard's share)."""
     with _trace.span("kernel", backend=f"process-{layout}", mode=mode,
                      shard=shard, nnz=hi - lo):
-        factors = [attach_array(specs[f"factor{m}"])
-                   for m in range(len(shape))]
-        gathers = [(factors[m], column(m))
-                   for m in range(len(shape)) if m != mode]
-        target = column(mode)
-        with _trace.span("kernel_chunk", phase="gather_scatter",
-                         lo=lo, hi=hi):
-            if mode == 0:
-                out = attach_array(specs["out0"])
-            else:
-                out = attach_array(specs["partials"])[shard, : shape[mode]]
-                out.fill(0.0)
-            coo_mttkrp_shard(out, target, gathers,
-                             attach_array(specs["vals"])[lo:hi],
-                             _WORKER_ARENA)
-        return True
+        return _mttkrp_shard(plane, layout, shape, mode, lo, hi, shard,
+                             arena)
 
 
-class ProcessMttkrp(MttkrpBackend):
-    """Process-parallel sharded COO MTTKRP with shared-memory state.
+class ShardedCooMttkrp(MttkrpBackend):
+    """Nonzero-parallel COO MTTKRP: aligned shards, one reduction order.
 
-    ``layout="numpy"`` shares the raw ``(nnz, N)`` index matrix;
-    ``layout="alto"`` shares one packed ``uint64`` code per nonzero
-    (``N``× smaller index traffic, two integer ops per recovered
-    coordinate) — both layouts produce bitwise-identical results.  A
-    worker-process death surfaces a ``repro-events/v1`` warning and the
-    backend permanently falls back to an equivalent thread-tier engine
-    sharing the same shard boundaries.  Usable as a context manager; all
-    shared segments are unlinked on :meth:`close` (and by a finalizer if
-    you forget).
+    ``pool`` is a :class:`~repro.parallel.pool.WorkerPool` or a
+    :class:`ProcessPool`; its tier places the data plane (plain arrays or
+    shared memory) and its worker count sets the shards.  ``layout`` is
+    ``"numpy"`` (the ``(nnz, N)`` index matrix) or ``"alto"`` (one
+    packed ``uint64`` code per nonzero: ``N``× less index traffic, two
+    integer ops per recovered coordinate).  Tier and layout never change
+    the result bits.  ``own_pool`` closes the pool with the engine.
+
+    ``chunks`` may be replaced before :meth:`set_factors` by any
+    mode-0-aligned shard list (tests use this to pin a reduction order).
+    Usable as a context manager; shared segments are unlinked on
+    :meth:`close` (and by a finalizer if you forget).
     """
 
-    name = "process-coo"
-
-    def __init__(self, tensor: CooTensor, n_workers: int | None = None, *,
-                 layout: str = "numpy", pool: ProcessPool | None = None,
-                 allow_oversubscribe: bool | None = None):
+    def __init__(self, tensor: CooTensor, pool, *, layout: str = "numpy",
+                 own_pool: bool = False):
         super().__init__(tensor)
         if layout not in ("numpy", "alto"):
             raise ValueError(
@@ -371,53 +355,70 @@ class ProcessMttkrp(MttkrpBackend):
                 "does not fit; use layout='numpy'"
             )
         self.layout = layout
-        self._own_pool = pool is None
-        self.pool = pool or ProcessPool(
-            n_workers, allow_oversubscribe=allow_oversubscribe
-        )
-        self._shm = SharedArrayGroup()
+        self.pool = pool
+        self._own_pool = own_pool
+        #: the worker death that swapped the process pool for threads.
+        self._fallback: BaseException | None = None
         self.chunks = (
-            aligned_chunks(tensor.idx[:, 0], self.pool.n_workers)
+            aligned_chunks(tensor.idx[:, 0], pool.n_workers)
             if tensor.nnz else []
         )
+        self._shm = SharedArrayGroup() if pool.tier == "process" else None
+        self._plane: dict[str, np.ndarray] = {}
         self.encoding: AltoEncoding | None = None
         if layout == "alto":
             self.encoding = AltoEncoding.encode(tensor.idx, tensor.shape)
-            self._shm.put("codes", self.encoding.codes)
+            self._share("codes", self.encoding.codes)
         else:
-            self._shm.put("idx", tensor.idx)
-        self._shm.put("vals", tensor.vals)
+            self._share("idx", tensor.idx)
+        self._share("vals", tensor.vals)
         self._arena = WorkspaceArena()
-        self._fallback: ParallelCooMttkrp | None = None
+
+    @property
+    def name(self) -> str:
+        if self.pool.tier == "process":
+            return "process-coo"
+        return "alto-coo" if self.layout == "alto" else "parallel-coo"
+
+    def _share(self, key: str, array: np.ndarray) -> None:
+        """Put ``array`` in the plane (copied into shared memory on the
+        process tier, by reference on the thread tier)."""
+        self._plane[key] = (self._shm.put(key, array)
+                            if self._shm is not None else array)
+
+    def _slot(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The plane's writable array ``key``, allocated on first use."""
+        arr = self._plane.get(key)
+        if arr is None or arr.shape != shape:
+            arr = self._plane[key] = (
+                self._shm.create(key, shape, VALUE_DTYPE)
+                if self._shm is not None
+                else np.empty(shape, dtype=VALUE_DTYPE)
+            )
+        return arr
 
     @property
     def index_nbytes(self) -> int:
-        """Shared index bytes (the layout trade the cost model scores)."""
-        key = "codes" if self.layout == "alto" else "idx"
-        return int(self._shm.array(key).nbytes)
+        """Index bytes in the plane (the layout trade the cost model
+        scores)."""
+        return int(self._plane["codes" if self.layout == "alto"
+                               else "idx"].nbytes)
+
+    @property
+    def _parallel(self) -> bool:
+        return self.pool.n_workers > 1 and len(self.chunks) > 1
 
     def set_factors(self, factors) -> None:
         super().set_factors(factors)
-        rank = self._rank
-        if self._parallel and "partials" not in self._shm:
-            self._shm.create(
-                "partials",
-                (len(self.chunks), max(self.tensor.shape), rank),
-                VALUE_DTYPE,
-            )
-            self._shm.create("out0", (self.tensor.shape[0], rank), VALUE_DTYPE)
+        shape, rank = self.tensor.shape, self._rank
+        self._slot("out0", (shape[0], rank))
+        self._slot("partials", (len(self.chunks), max(shape), rank))
         for m, U in enumerate(self._factors):
-            key = f"factor{m}"
-            if key in self._shm:
-                np.copyto(self._shm.array(key), U)
-            else:
-                self._shm.put(key, U)
-            # Alias the backend's factor list to the mapped views: every
-            # later update is a copy into shared memory, never a pickle.
-            self._factors[m] = self._shm.array(key)
-        if self._fallback is not None:
-            self._fallback._factors = self._factors
-            self._fallback._rank = rank
+            view = self._slot(f"factor{m}", U.shape)
+            np.copyto(view, U)
+            # Alias the factor list to the plane: every later update is a
+            # copy into it, never a pickle.
+            self._factors[m] = view
 
     def update_factor(self, mode: int, U: np.ndarray) -> None:
         mode = check_mode(mode, self.tensor.ndim)
@@ -429,59 +430,56 @@ class ProcessMttkrp(MttkrpBackend):
             )
         np.copyto(self.factors[mode], U)
 
-    @property
-    def _parallel(self) -> bool:
-        return self.pool.n_workers > 1 and len(self.chunks) > 1
-
     def mttkrp(self, mode: int) -> np.ndarray:
         mode = check_mode(mode, self.tensor.ndim)
-        out_shape = (self.tensor.shape[mode], self.rank)
         if self.tensor.nnz == 0:
-            return np.zeros(out_shape, dtype=VALUE_DTYPE)
-        if self._fallback is not None:
-            return self._fallback.mttkrp(mode)
-        if not self._parallel:
-            return self._inline(mode)
-        specs = self._shm.specs()
+            return np.zeros((self.tensor.shape[mode], self.rank),
+                            dtype=VALUE_DTYPE)
+        if self.pool.tier == "process":
+            try:
+                return self._sharded(mode)
+            except BrokenProcessPool as exc:
+                self._activate_fallback(exc)
+        # One kernel span per mode with the attrs the roofline attribution
+        # pass prices (`repro.obs.roofline`): backend names the layout,
+        # mode+nnz select the cost model's per-mode flop/word terms.
+        with _trace.span("kernel", backend=self.name, mode=mode,
+                         nnz=self.tensor.nnz):
+            return self._sharded(mode)
+
+    def _sharded(self, mode: int) -> np.ndarray:
+        """Run every shard on the pool, then reduce in shard order."""
+        plane, shape = self._plane, self.tensor.shape
         if mode == 0:
-            self._shm.array("out0")[:] = 0.0
-        calls = [
-            (_mttkrp_shard, (specs, self.layout, self.tensor.shape, mode,
-                             lo, hi, shard))
-            for shard, (lo, hi) in enumerate(self.chunks)
-        ]
-        try:
-            self.pool.run(calls)
-        except BrokenProcessPool as exc:
-            self._activate_fallback(exc)
-            return self._fallback.mttkrp(mode)
+            plane["out0"].fill(0.0)
+        process = self.pool.tier == "process"
+        remote = process and self._parallel
+        # Worker processes map the segments and keep their own scratch;
+        # tasks run in this process read the plane's views directly.
+        source = self._shm.specs() if remote else plane
+        scratch = () if remote else (self._arena,)
+        args = [(source, self.layout, shape, mode, lo, hi, shard, *scratch)
+                for shard, (lo, hi) in enumerate(self.chunks)]
+        if process:
+            self.pool.run([(_process_shard, a) for a in args])
+        else:
+            self.pool.run([functools.partial(_mttkrp_shard, *a)
+                           for a in args])
         if mode == 0:
-            return self._shm.array("out0").copy()
-        partials = self._shm.array("partials")
-        rows = self.tensor.shape[mode]
+            return plane["out0"].copy()
+        partials = plane["partials"]
+        rows = shape[mode]
         out = partials[0, :rows].copy()
         for shard in range(1, len(self.chunks)):
             out += partials[shard, :rows]
         return out
 
-    def _inline(self, mode: int) -> np.ndarray:
-        """Single-worker path: whole-range accumulation, no shm slabs."""
-        tensor, enc = self.tensor, self.encoding
-
-        def col(m):
-            return enc.decode(m) if enc is not None else tensor.idx[:, m]
-
-        out = np.zeros((tensor.shape[mode], self.rank), dtype=VALUE_DTYPE)
-        coo_mttkrp_shard(
-            out, col(mode),
-            ((self.factors[m], col(m))
-             for m in range(tensor.ndim) if m != mode),
-            tensor.vals, self._arena,
-        )
-        return out
-
     def _activate_fallback(self, exc: BaseException) -> None:
-        """Worker death: warn (structured + Python), swap in threads."""
+        """Worker death: warn (structured + Python), swap in threads.
+
+        The plane's shared segments stay mapped in this process and the
+        shards do not change, so the thread pool reproduces the process
+        tier's results bit for bit."""
         message = (
             f"process-tier worker died mid-shard ({exc!r}); "
             f"falling back to the thread tier for the rest of the run"
@@ -496,46 +494,49 @@ class ProcessMttkrp(MttkrpBackend):
         _metrics.incr("procpool.broken")
         if self._own_pool:
             self.pool.close()
-        fb = ParallelCooMttkrp(self.tensor, n_workers=self.pool.n_workers)
-        # Same shard boundaries and the already-shared factor views: the
-        # fallback reproduces the process tier's reduction order exactly.
-        fb.chunks = list(self.chunks)
-        fb._factors = self._factors
-        fb._rank = self._rank
-        self._fallback = fb
+        self.pool = WorkerPool(self.pool.n_workers)
+        self._own_pool = True
+        self._fallback = exc
 
     def close(self) -> None:
         self._arena.clear()
-        if self._fallback is not None:
-            self._fallback.close()
-            self._fallback = None
         if self._own_pool:
             self.pool.close()
-        self._shm.close()
+        if self._shm is not None:
+            self._plane.clear()
+            self._shm.close()
 
-    def __enter__(self) -> "ProcessMttkrp":
+    def __enter__(self) -> "ShardedCooMttkrp":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
 
-class AltoCooMttkrp(ParallelCooMttkrp):
-    """Thread-tier nonzero-parallel MTTKRP over packed ALTO codes.
+# -- constructors for the engine's three configurations ---------------------
 
-    Same chunking, float operation order, and reduction order as
-    :class:`~repro.parallel.pool.ParallelCooMttkrp`; only the index
-    *source* differs (one decoded uint64 field per coordinate instead of
-    an int64 matrix column), so results are bitwise equal while index
-    storage shrinks from ``N`` words per nonzero to one.
-    """
+def ParallelCooMttkrp(tensor: CooTensor, n_workers: int | None = None,
+                      pool: WorkerPool | None = None) -> ShardedCooMttkrp:
+    """The thread tier on the index matrix (``name="parallel-coo"``)."""
+    return ShardedCooMttkrp(tensor, pool or WorkerPool(n_workers),
+                            own_pool=pool is None)
 
-    name = "alto-coo"
 
-    def __init__(self, tensor: CooTensor, n_workers: int | None = None,
-                 pool=None):
-        super().__init__(tensor, n_workers, pool)
-        self.encoding = AltoEncoding.encode(tensor.idx, tensor.shape)
+def AltoCooMttkrp(tensor: CooTensor, n_workers: int | None = None,
+                  pool: WorkerPool | None = None) -> ShardedCooMttkrp:
+    """The thread tier on packed ALTO codes (``name="alto-coo"``)."""
+    return ShardedCooMttkrp(tensor, pool or WorkerPool(n_workers),
+                            layout="alto", own_pool=pool is None)
 
-    def _column(self, mode: int, lo: int, hi: int) -> np.ndarray:
-        return self.encoding.decode(mode, lo, hi)
+
+def ProcessMttkrp(tensor: CooTensor, n_workers: int | None = None, *,
+                  layout: str = "numpy", pool: ProcessPool | None = None,
+                  allow_oversubscribe: bool | None = None
+                  ) -> ShardedCooMttkrp:
+    """The process tier with shared-memory state (``name="process-coo"``)."""
+    return ShardedCooMttkrp(
+        tensor,
+        pool or ProcessPool(n_workers,
+                            allow_oversubscribe=allow_oversubscribe),
+        layout=layout, own_pool=pool is None,
+    )

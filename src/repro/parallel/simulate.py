@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.coo import CooTensor
 from ..model.cost import DEFAULT_MACHINE, CostReport, MachineModel
-from .partition import contiguous_chunks
+from ..kernels.alto import contiguous_chunks
 
 
 @dataclass(frozen=True)

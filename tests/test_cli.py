@@ -113,6 +113,17 @@ class TestCommands:
         # Tiny tensor at one worker: the model must keep it on threads.
         assert "model picked tier=thread" in out
 
+    def test_decompose_explicit_strategy_keeps_tree(self, capsys):
+        """With --tier auto an explicit strategy runs that memo tree at the
+        requested worker count; the model picks no tier for it."""
+        assert main([
+            "decompose", "nips", "--scale", "0.02", "--rank", "4",
+            "--iters", "3", "--strategy", "bdt", "--workers", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "model picked" not in out
+        assert "strategy   : bdt" in out
+
     def test_decompose_nonneg(self, capsys):
         assert main([
             "decompose", "nips", "--scale", "0.01", "--rank", "2",

@@ -19,7 +19,7 @@ from repro.formats.csf import CsfTensor
 from repro.formats.hicoo import HicooTensor
 from repro.io.frostt import read_tns, write_tns
 from repro.io.model import load_model, save_model
-from repro.parallel import ParallelMemoizedMttkrp, SliceParallelMttkrp
+from repro.parallel import ParallelMemoizedMttkrp
 from repro.synth.lowrank import lowrank_tensor
 from repro.synth.skewed import skewed_random_tensor
 
@@ -58,10 +58,7 @@ class TestAllImplementationsAgree:
         for backend in (
             ParallelMemoizedMttkrp(tensor, "bdt", factors, n_workers=3,
                                    min_chunk_rows=4),
-            SliceParallelMttkrp(tensor, n_workers=3),
         ):
-            if backend.__class__ is SliceParallelMttkrp:
-                backend.set_factors(factors)
             self._check([backend.mttkrp(m) for m in range(4)], reference)
             backend.close()
 

@@ -10,9 +10,7 @@ from repro.model.cost import cost_from_symbolic
 from repro.core.symbolic import SymbolicTree
 from repro.parallel import (ParallelCooMttkrp, ParallelMemoizedMttkrp,
                             ScalingParams, WorkerPool, contiguous_chunks,
-                            greedy_partition, load_imbalance,
-                            partition_balance, partition_nonzeros,
-                            partition_slices, simulate_parallel_time,
+                            load_imbalance, simulate_parallel_time,
                             simulate_speedup_curve)
 from repro.synth.lowrank import lowrank_tensor
 
@@ -41,28 +39,6 @@ class TestPartition:
             contiguous_chunks(-1, 2)
         with pytest.raises((TypeError, ValueError)):
             contiguous_chunks(5, 0)
-
-    def test_greedy_partition_balances(self):
-        weights = [10, 9, 8, 1, 1, 1]
-        assign = greedy_partition(weights, 2)
-        assert partition_balance(weights, assign, 2) <= 1.2
-
-    def test_greedy_partition_negative_rejected(self):
-        with pytest.raises(ValueError):
-            greedy_partition([-1.0], 2)
-
-    def test_partition_nonzeros(self):
-        rng = np.random.default_rng(0)
-        t = random_coo(rng, (5, 5, 5), 50)
-        chunks = partition_nonzeros(t, 4)
-        assert sum(hi - lo for lo, hi in chunks) == t.nnz
-
-    def test_partition_slices_assigns_all(self):
-        rng = np.random.default_rng(1)
-        t = random_coo(rng, (10, 5, 5), 80)
-        assign = partition_slices(t, 0, 3)
-        assert assign.shape == (10,)
-        assert set(assign) <= {0, 1, 2}
 
 
 class TestWorkerPool:
@@ -390,58 +366,6 @@ class TestScalingSimulator:
         rng = np.random.default_rng(10)
         t = random_coo(rng, (10, 10, 10), 400)
         assert load_imbalance(t, 4) <= 1.05
-
-
-class TestSliceParallel:
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_matches_dense(self, n_workers):
-        from repro.parallel import SliceParallelMttkrp
-
-        rng = np.random.default_rng(20)
-        t = random_coo(rng, (7, 6, 5), 70)
-        factors = random_factors(rng, t.shape, 3)
-        backend = SliceParallelMttkrp(t, n_workers=n_workers)
-        backend.set_factors(factors)
-        dense = t.to_dense()
-        for mode in range(3):
-            np.testing.assert_allclose(
-                backend.mttkrp(mode),
-                dense_mttkrp(dense, factors, mode),
-                rtol=1e-10, atol=1e-10,
-            )
-        backend.close()
-
-    def test_imbalance_recorded(self):
-        from repro.parallel import SliceParallelMttkrp
-
-        rng = np.random.default_rng(21)
-        t = random_coo(rng, (8, 8, 8), 100)
-        backend = SliceParallelMttkrp(t, n_workers=3)
-        backend.set_factors(random_factors(rng, t.shape, 2))
-        backend.mttkrp(0)
-        assert backend.imbalance[0] >= 1.0
-
-    def test_skewed_slices_increase_imbalance(self):
-        from repro.parallel import SliceParallelMttkrp
-        from repro.core.coo import CooTensor
-
-        # One dominant slice: imbalance must exceed the uniform case.
-        idx = np.array([[0, i % 9, i % 7] for i in range(60)]
-                       + [[1 + i % 4, i % 9, i % 7] for i in range(20)])
-        t = CooTensor(idx, np.ones(len(idx)), (5, 9, 7))
-        backend = SliceParallelMttkrp(t, n_workers=4)
-        backend.set_factors(random_factors(np.random.default_rng(22), t.shape, 2))
-        backend.mttkrp(0)
-        assert backend.imbalance[0] > 1.5
-
-    def test_empty_tensor(self):
-        from repro.parallel import SliceParallelMttkrp
-        from repro.core.coo import CooTensor
-
-        backend = SliceParallelMttkrp(CooTensor.empty((3, 3)), n_workers=2)
-        backend.set_factors(random_factors(np.random.default_rng(23), (3, 3), 2))
-        np.testing.assert_array_equal(backend.mttkrp(0), 0.0)
-        backend.close()
 
 
 def _add_at_shard(out, target, gathers, vals):

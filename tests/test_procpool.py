@@ -463,22 +463,15 @@ class TestCooEnginesMatchAddAtOracle:
             )
 
     def test_thread_tier_engines(self):
-        from repro.parallel import SliceParallelMttkrp
         from repro.parallel.procpool import AltoCooMttkrp
 
         tensor, factors = self._setup()
-        whole = [(0, tensor.nnz)]
         for cls in (ParallelCooMttkrp, AltoCooMttkrp):
             with cls(tensor, n_workers=3) as backend:
                 assert len(backend.chunks) == 3
                 backend.set_factors(factors)
                 self._check(backend, tensor, factors,
                             lambda mode: backend.chunks)
-        # Owners write disjoint rows, each in nonzero order: the whole-range
-        # scatter, whatever the slice assignment.
-        with SliceParallelMttkrp(tensor, n_workers=2) as backend:
-            backend.set_factors(factors)
-            self._check(backend, tensor, factors, lambda mode: whole)
 
     @pytest.mark.parametrize("layout", ["numpy", "alto"])
     @pytest.mark.parametrize("n_workers", [1, 2])
@@ -504,3 +497,40 @@ class TestCooEnginesMatchAddAtOracle:
                 backend._activate_fallback(BrokenProcessPool("test"))
             self._check(backend, tensor, factors,
                         lambda mode: backend.chunks)
+
+
+class TestTierLayoutParity:
+    """Tier and layout never change the bits: at one worker count every
+    COO engine reduces the same aligned shards in the same order."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_bitwise_equal_across_tiers_and_layouts(self, n_workers):
+        import sys
+
+        from repro.parallel.procpool import AltoCooMttkrp
+
+        rng = np.random.default_rng(44)
+        tensor = random_coo(rng, (13, 11, 9, 7), 700)
+        factors = random_factors(rng, tensor.shape, 6)
+
+        def outputs(backend):
+            with backend:
+                backend.set_factors(factors)
+                return [backend.mttkrp(m) for m in range(tensor.ndim)]
+
+        interval = sys.getswitchinterval()
+        # More threads than cores, switching often: concurrent mode-0
+        # shards must still write disjoint rows of the shared output.
+        sys.setswitchinterval(1e-6)
+        try:
+            ref = outputs(ParallelCooMttkrp(tensor, n_workers))
+            others = {"thread/alto": outputs(AltoCooMttkrp(tensor, n_workers))}
+        finally:
+            sys.setswitchinterval(interval)
+        for layout in ("numpy", "alto"):
+            others[f"process/{layout}"] = outputs(
+                make_backend(tensor, n_workers, layout=layout))
+        for name, got in others.items():
+            for mode in range(tensor.ndim):
+                np.testing.assert_array_equal(
+                    got[mode], ref[mode], err_msg=f"{name}, mode {mode}")
